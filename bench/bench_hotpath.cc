@@ -366,92 +366,6 @@ BM_MeshSend(benchmark::State &state)
                             16);
 }
 
-/**
- * The sharded run loop (sim/shard.hh): one 64-node machine running a
- * remote-heavy read/write mix, at 1, 2 and 4 worker shards. Results
- * are bit-identical across shard counts, so this measures pure
- * simulator throughput: window scheduling + cross-shard staging
- * overhead versus parallel event execution. On a host with >= 4 free
- * cores the 4-shard run should be >= 2x the 1-shard run; on fewer
- * cores the extra shards only add synchronization overhead and the
- * ratio inverts (compare against num_cpus in the tracked JSON).
- */
-void
-BM_ShardedRun(benchmark::State &state)
-{
-    constexpr int kProcs = 64;
-    constexpr int kRefs = 48;
-    constexpr int kTotalLines = kProcs * kRefs;
-    std::uint64_t refs = 0;
-    for (auto _ : state) {
-        machine::MachineConfig cfg = machine::MachineConfig::flash(kProcs);
-        cfg.shards = static_cast<int>(state.range(0));
-        machine::Machine m(cfg);
-        // Auto placement stripes pages round-robin, so the strided
-        // walk below hits homes on every node from every node.
-        Addr base = m.allocAuto(kTotalLines * kLineSize);
-        auto workload = [base](tango::Env &env) -> tango::Task {
-            co_await env.busy(0);
-            for (int i = 0; i < kRefs; ++i) {
-                const int line =
-                    (env.id() * 17 + i * 7) % kTotalLines;
-                const Addr a =
-                    base + static_cast<Addr>(line) * kLineSize;
-                if (i % 4 == 3)
-                    co_await env.write(a);
-                else
-                    co_await env.read(a);
-                co_await env.busy(20);
-            }
-        };
-        m.run(workload);
-        m.drain();
-        refs += static_cast<std::uint64_t>(kProcs) * kRefs;
-    }
-    benchmark::DoNotOptimize(refs);
-    state.SetItemsProcessed(static_cast<std::int64_t>(refs));
-}
-
-/**
- * The same sharded loop on a *sparse* workload: long busy gaps between
- * remote misses, so most of virtual time is idle and the adaptive
- * coordinator's idle-window skipping carries the run (shard.windows.*
- * stats in the CLI report show the skip fraction). Measures the cost
- * of a window edge itself — horizon query, merge, barrier — rather
- * than event execution; the win from skipping shows up as this bench
- * staying flat as busy gaps grow.
- */
-void
-BM_ShardedSparseRun(benchmark::State &state)
-{
-    constexpr int kProcs = 64;
-    constexpr int kRefs = 8;
-    constexpr int kTotalLines = kProcs * kRefs;
-    std::uint64_t refs = 0;
-    for (auto _ : state) {
-        machine::MachineConfig cfg = machine::MachineConfig::flash(kProcs);
-        cfg.shards = static_cast<int>(state.range(0));
-        machine::Machine m(cfg);
-        Addr base = m.allocAuto(kTotalLines * kLineSize);
-        auto workload = [base](tango::Env &env) -> tango::Task {
-            co_await env.busy(0);
-            for (int i = 0; i < kRefs; ++i) {
-                const int line =
-                    (env.id() * 17 + i * 7) % kTotalLines;
-                const Addr a =
-                    base + static_cast<Addr>(line) * kLineSize;
-                co_await env.read(a);
-                co_await env.busy(1500);
-            }
-        };
-        m.run(workload);
-        m.drain();
-        refs += static_cast<std::uint64_t>(kProcs) * kRefs;
-    }
-    benchmark::DoNotOptimize(refs);
-    state.SetItemsProcessed(static_cast<std::int64_t>(refs));
-}
-
 BENCHMARK(BM_EventQueueHold)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_EventQueueHoldFar)->Arg(256)->Arg(4096);
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
@@ -462,10 +376,6 @@ BENCHMARK(BM_StatHandle);
 BENCHMARK(BM_MeshSend);
 BENCHMARK(BM_MissRoundTrip)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LossyMissRoundTrip)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ShardedRun)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
-BENCHMARK(BM_ShardedSparseRun)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
 
 } // namespace
 

@@ -22,7 +22,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include "apps/workload.hh"
 #include "machine/report.hh"
@@ -64,10 +63,6 @@ usage()
         "                    (default threaded; bit-identical timing)\n"
         "  --distance-net    per-pair mesh distances instead of the\n"
         "                    22-cycle average\n"
-        "  --shards N        worker threads for the PDES run loop\n"
-        "                    (default $FLASHSIM_SHARDS or 1; results\n"
-        "                    are bit-identical across shard counts;\n"
-        "                    clamped to procs and host cores)\n"
         "verification (src/verify):\n"
         "  --verify          enable the coherence oracle and watchdog\n"
         "  --halt-on-violation   fatal() on the first oracle violation\n"
@@ -106,14 +101,6 @@ main(int argc, char **argv)
     MachineConfig cfg = MachineConfig::flash(16);
     bool ideal = false;
     apps::Scale scale = apps::Scale::Default;
-
-    // FLASHSIM_SHARDS seeds the default; --shards overrides it. (The
-    // sibling knob FLASHSIM_JOBS parallelizes *across* runs in the
-    // sweep runner — compose them so shards x jobs stays within the
-    // host's cores; Machine clamps shards to the core count either
-    // way.)
-    if (const char *env = std::getenv("FLASHSIM_SHARDS"))
-        cfg.shards = std::atoi(env);
 
     for (int i = 1; i < argc; ++i) {
         auto next = [&]() -> const char * {
@@ -158,8 +145,6 @@ main(int argc, char **argv)
                 usage();
                 return 1;
             }
-        } else if (!std::strcmp(argv[i], "--shards")) {
-            cfg.shards = std::atoi(next());
         } else if (!std::strcmp(argv[i], "--distance-net")) {
             cfg.net.distanceBased = true;
         } else if (!std::strcmp(argv[i], "--verify")) {
@@ -223,19 +208,6 @@ main(int argc, char **argv)
         cfg.magic.ideal = true;
         cfg.magic.usePpEmulator = false;
     }
-    // Clamp the user-facing knob to the host's cores: extra shards
-    // past that only add synchronization overhead (results would still
-    // be identical). Machine further clamps to numProcs.
-    if (cfg.shards > 1) {
-        int hw = static_cast<int>(std::thread::hardware_concurrency());
-        if (hw > 0 && cfg.shards > hw) {
-            std::fprintf(stderr,
-                         "flashsim_cli: clamping --shards %d to %d "
-                         "(host cores)\n", cfg.shards, hw);
-            cfg.shards = hw;
-        }
-    }
-
     auto w = apps::makeWorkload(app, scale);
     std::printf("running %s on %s, %d procs, %u KB caches...\n",
                 app.c_str(), ideal ? "ideal" : "FLASH", cfg.numProcs,
@@ -294,23 +266,6 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(s.reqDropsInjected),
                     static_cast<unsigned long long>(s.timeoutRetries),
                     static_cast<unsigned long long>(s.lateFills));
-    if (m->shards() > 1) {
-        const machine::Machine::ShardRunStats &st = m->shardStats();
-        std::printf("shard windows: %llu run (%llu skipped ahead over "
-                    "%llu idle ticks, %llu widened), width %.1f mean / "
-                    "%llu max\n",
-                    static_cast<unsigned long long>(st.windowsRun),
-                    static_cast<unsigned long long>(st.windowsSkipped),
-                    static_cast<unsigned long long>(st.ticksSkipped),
-                    static_cast<unsigned long long>(st.windowsWidened),
-                    st.meanWidth(),
-                    static_cast<unsigned long long>(st.maxWidth));
-        std::printf("shard sync: %llu tango phases, %llu barrier parks, "
-                    "%.2f ms coordinator barrier wait\n",
-                    static_cast<unsigned long long>(st.syncPhases),
-                    static_cast<unsigned long long>(st.barrierParks),
-                    static_cast<double>(st.barrierWaitNs) / 1e6);
-    }
     if (const verify::Sentinel *sent = m->sentinel()) {
         std::fflush(stdout);
         sent->writeSummary(std::cout);

@@ -31,10 +31,7 @@ UNIT_TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 def load_benchmarks(path):
     """Map benchmark name -> (best real_time in ns) from a google-benchmark
-    JSON file, ignoring aggregate rows (mean/median/stddev). Also returns
-    the recording host's core count: the bench_host block stamped by
-    scripts/bench_hotpath.sh when present, else google-benchmark's own
-    context.num_cpus, else None."""
+    JSON file, ignoring aggregate rows (mean/median/stddev)."""
     with open(path) as f:
         doc = json.load(f)
     best = {}
@@ -45,20 +42,7 @@ def load_benchmarks(path):
         ns = b["real_time"] * UNIT_TO_NS[b.get("time_unit", "ns")]
         if name not in best or ns < best[name]:
             best[name] = ns
-    cores = doc.get("bench_host", {}).get("cores") \
-        or doc.get("context", {}).get("num_cpus")
-    return best, cores
-
-
-def shard_parties(name):
-    """BM_Sharded*/N -> N (worker threads the bench needs), else None."""
-    if not name.startswith("BM_Sharded"):
-        return None
-    _, _, arg = name.partition("/")
-    try:
-        return int(arg)
-    except ValueError:
-        return None
+    return best
 
 
 def run_bench(binary, out_path, repetitions):
@@ -115,7 +99,7 @@ def main():
             return 2
         strict[name] = float(tol)
 
-    baseline, base_cores = load_benchmarks(args.baseline)
+    baseline = load_benchmarks(args.baseline)
     if not baseline:
         print("error: no benchmarks in baseline %s" % args.baseline,
               file=sys.stderr)
@@ -131,27 +115,13 @@ def main():
         fd, current_path = tempfile.mkstemp(suffix=".json")
         os.close(fd)
         run_bench(binary, current_path, args.repetitions)
-    current, cur_cores = load_benchmarks(current_path)
+    current = load_benchmarks(current_path)
 
     failures = []
     width = max(len(n) for n in sorted(baseline) + sorted(current))
     print("\n%-*s %12s %12s %8s" %
           (width, "benchmark", "baseline", "current", "ratio"))
     for name in sorted(baseline):
-        # Shard-scaling benches only measure parallel speedup when both
-        # the baseline recorder and this host have a core per shard;
-        # on smaller hosts the comparison is core-contention noise, so
-        # skip it (never a failure).
-        parties = shard_parties(name)
-        if parties is not None and any(
-                c is not None and c < parties
-                for c in (base_cores, cur_cores)):
-            print("%-*s %12s %12s %8s  SKIPPED (needs %d cores; "
-                  "baseline %s, host %s)" %
-                  (width, name, fmt(baseline[name]),
-                   fmt(current[name]) if name in current else "-", "-",
-                   parties, base_cores, cur_cores))
-            continue
         if name not in current:
             failures.append("%s: missing from current run" % name)
             print("%-*s %12s %12s %8s" %

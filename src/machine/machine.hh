@@ -19,7 +19,6 @@
 #include "protocol/pp_programs.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_table.hh"
-#include "sim/shard.hh"
 #include "tango/runtime.hh"
 #include "tango/task.hh"
 #include "verify/sentinel.hh"
@@ -66,10 +65,9 @@ class Machine : public protocol::AddressMap
 
     // -- Execution ------------------------------------------------------------
     /**
-     * Run @p workload on every processor to completion. With
-     * cfg.shards > 1 the run executes across that many worker threads
-     * as conservative time-window PDES (see sim/shard.hh); results are
-     * bit-identical to the single-threaded run for the same seed.
+     * Run @p workload on every processor to completion: tick by tick,
+     * each tick's events first, then its sync phase (tango lock and
+     * barrier decisions, see tango::SyncPhase).
      * @return machine execution time in cycles (max processor finish).
      */
     Tick run(const Workload &workload);
@@ -87,12 +85,7 @@ class Machine : public protocol::AddressMap
     std::uint64_t stateDigest() const;
 
     // -- Access ----------------------------------------------------------------
-    /** Shard 0's event queue (the only one when shards() == 1). */
-    EventQueue &eq() { return *eqs_[0]; }
-    /** Resolved shard count (cfg.shards clamped to the machine/host). */
-    int shards() const { return shards_; }
-    /** The conservative window width: minimum inter-node transit. */
-    Tick lookahead() const { return lookahead_; }
+    EventQueue &eq() { return eq_; }
     int numProcs() const { return cfg_.numProcs; }
     Node &node(int i) { return *nodes_[static_cast<std::size_t>(i)]; }
     const Node &node(int i) const
@@ -110,70 +103,10 @@ class Machine : public protocol::AddressMap
     verify::Sentinel *sentinel() { return sentinel_.get(); }
     const verify::Sentinel *sentinel() const { return sentinel_.get(); }
 
-    /**
-     * PDES-engine efficiency counters for the sharded run loop
-     * (windows scheduled by run() and drain()). Deliberately *not*
-     * part of Summary: they describe the engine, not the simulated
-     * machine, and legitimately vary with shard count — so they must
-     * stay out of the bit-identity signatures. All zero after a
-     * single-shard run.
-     */
-    struct ShardRunStats
-    {
-        std::uint64_t windowsRun = 0;
-        /** Windows whose start jumped past the previous window's end
-         *  (idle-gap skipping), and the ticks jumped over. */
-        std::uint64_t windowsSkipped = 0;
-        std::uint64_t ticksSkipped = 0;
-        /** Windows widened beyond the minimum lookahead. */
-        std::uint64_t windowsWidened = 0;
-        /** Sum of window widths (mean width = / windowsRun). */
-        std::uint64_t ticksWindowed = 0;
-        Tick maxWidth = 0;
-        /** Futex parks inside the run barrier (all shards). */
-        std::uint64_t barrierParks = 0;
-        /** Wall time shard 0 spent in the barrier rendezvous,
-         *  including window edges it ran itself (an estimate). */
-        std::uint64_t barrierWaitNs = 0;
-        /** Sync-arbiter phases executed. */
-        std::uint64_t syncPhases = 0;
-
-        double
-        meanWidth() const
-        {
-            return windowsRun != 0
-                       ? static_cast<double>(ticksWindowed) /
-                             static_cast<double>(windowsRun)
-                       : 0.0;
-        }
-    };
-    const ShardRunStats &shardStats() const { return shardStats_; }
-
   private:
-    /** Drive shard @p s from its current time up to @p wend: drain
-     *  event ticks and run sync phases in canonical order, then
-     *  publish that the whole window is complete. */
-    void runShardWindow(int s, Tick wend);
-    /** Earliest pending work (event or sync op) machine-wide; only
-     *  meaningful when every shard is quiescent. */
-    Tick earliestWork() const;
-    /** Safe end for a window starting at @p T: adaptive widening up to
-     *  the earliest possible cross-shard arrival, never below
-     *  T + lookahead. Window-edge (quiescent) only. */
-    Tick windowEndFor(Tick T) const;
-    /** Account one scheduled window [T, wend) in shardStats_. */
-    void noteWindow(Tick T, Tick wend);
-    void runSingle(const std::function<bool()> &all_done);
-    void runSharded(const std::function<bool()> &all_done);
-
     MachineConfig cfg_;
-    int shards_ = 1;
-    Tick lookahead_ = 0;
-    /** One event queue per shard; queue 0 doubles as the machine's
-     *  "main" queue (sentinel, logging, drain tail). */
-    std::vector<std::unique_ptr<EventQueue>> eqs_;
-    std::vector<int> shardOf_;
-    SyncArbiter arb_;
+    EventQueue eq_;
+    tango::SyncPhase sync_;
     /** Shared, immutable, pre-decoded program set (process-wide cache:
      *  see protocol::sharedHandlerPrograms). */
     std::shared_ptr<const protocol::HandlerPrograms> programs_;
@@ -191,12 +124,6 @@ class Machine : public protocol::AddressMap
     std::uint64_t rrCounter_ = 0;
     std::uint64_t firstFitAllocated_ = 0;
     Tick execTime_ = 0;
-
-    /** Engine counters (see ShardRunStats). Written at window edges
-     *  (serial) and read quiescent. */
-    ShardRunStats shardStats_;
-    Tick lastWindowEnd_ = 0;
-    bool anyWindow_ = false;
 };
 
 } // namespace flashsim::machine

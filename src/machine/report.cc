@@ -170,29 +170,6 @@ exportTransportStats(const Summary &s, StatSet &stats)
               static_cast<double>(s.degradedResumes));
 }
 
-void
-exportShardStats(const Machine &m, StatSet &stats)
-{
-    const Machine::ShardRunStats &st = m.shardStats();
-    stats.set(stats.handle("shard.windows.run"),
-              static_cast<double>(st.windowsRun));
-    stats.set(stats.handle("shard.windows.skipped"),
-              static_cast<double>(st.windowsSkipped));
-    stats.set(stats.handle("shard.windows.widened"),
-              static_cast<double>(st.windowsWidened));
-    stats.set(stats.handle("shard.ticks.skipped"),
-              static_cast<double>(st.ticksSkipped));
-    stats.set(stats.handle("shard.width.mean"), st.meanWidth());
-    stats.set(stats.handle("shard.width.max"),
-              static_cast<double>(st.maxWidth));
-    stats.set(stats.handle("shard.barrier.parks"),
-              static_cast<double>(st.barrierParks));
-    stats.set(stats.handle("shard.barrier.waitNs"),
-              static_cast<double>(st.barrierWaitNs));
-    stats.set(stats.handle("shard.sync.phases"),
-              static_cast<double>(st.syncPhases));
-}
-
 std::string
 breakdownHeader()
 {

@@ -119,13 +119,6 @@ Summary summarize(const Machine &m);
  *  dense "transport.*" handles (dashboards, bench fixtures). */
 void exportTransportStats(const Summary &s, StatSet &stats);
 
-/** Publish the sharded-run engine counters of @p m into @p stats under
- *  dense "shard.*" handles. These are PDES engine quantities (windows
- *  run/skipped, adaptive widths, barrier behaviour) — they vary with
- *  shard count by design and deliberately live outside Summary so they
- *  can never leak into bit-identity signatures. */
-void exportShardStats(const Machine &m, StatSet &stats);
-
 /** Figure 4.1-style row: normalized total plus category percentages. */
 std::string breakdownRow(const std::string &label, const Summary &s,
                          double norm_exec_time);

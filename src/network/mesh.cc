@@ -11,54 +11,14 @@ namespace flashsim::network
 {
 
 MeshNetwork::MeshNetwork(EventQueue &eq, int num_nodes, MeshParams params)
-    : MeshNetwork(std::vector<EventQueue *>{&eq},
-                  std::vector<int>(static_cast<std::size_t>(num_nodes), 0),
-                  num_nodes, params)
-{}
-
-MeshNetwork::MeshNetwork(const std::vector<EventQueue *> &eqs,
-                         std::vector<int> shard_of, int num_nodes,
-                         MeshParams params)
-    : numNodes_(num_nodes), params_(params),
+    : eq_(eq), numNodes_(num_nodes), params_(params),
       deliver_(static_cast<std::size_t>(num_nodes)),
-      shardOf_(std::move(shard_of)),
       srcSeq_(static_cast<std::size_t>(num_nodes), 0)
 {
     side_ = 1;
     while (side_ * side_ < num_nodes)
         ++side_;
     avgTransit_ = avgTransitFor(num_nodes, params_);
-
-    eps_.resize(eqs.size());
-    for (std::size_t s = 0; s < eqs.size(); ++s) {
-        eps_[s].eq = eqs[s];
-        eps_[s].outbox.resize(eqs.size());
-    }
-
-    // Per-shard outbound lookahead for the adaptive window widening:
-    // minimum transit from each shard's nodes to any node outside the
-    // shard. O(nodes^2) once at construction.
-    if (eps_.size() > 1) {
-        minOut_.assign(eps_.size(), ~Cycles{0});
-        for (NodeId a = 0; a < static_cast<NodeId>(numNodes_); ++a) {
-            const int sa = shardOf_[a];
-            for (NodeId b = 0; b < static_cast<NodeId>(numNodes_); ++b) {
-                if (shardOf_[b] == sa)
-                    continue;
-                minOut_[static_cast<std::size_t>(sa)] =
-                    std::min(minOut_[static_cast<std::size_t>(sa)],
-                             transit(a, b));
-            }
-        }
-    }
-}
-
-Cycles
-MeshNetwork::minOutboundTransit(int shard) const
-{
-    if (minOut_.empty())
-        return minTransit();
-    return minOut_[static_cast<std::size_t>(shard)];
 }
 
 void
@@ -90,12 +50,6 @@ MeshNetwork::transit(NodeId src, NodeId dest) const
 }
 
 Cycles
-MeshNetwork::minTransit() const
-{
-    return minTransitFor(numNodes_, params_);
-}
-
-Cycles
 MeshNetwork::avgTransitFor(int num_nodes, MeshParams params)
 {
     int side = 1;
@@ -118,18 +72,6 @@ MeshNetwork::avgTransitFor(int num_nodes, MeshParams params)
         std::lround(params.perHop * hops + params.header));
 }
 
-Cycles
-MeshNetwork::minTransitFor(int num_nodes, MeshParams params)
-{
-    // Minimum over *distinct* pairs: adjacent nodes pay 1 internal hop
-    // plus entry and exit in the distance-based mode, the flat average
-    // otherwise. Self-sends are excluded — a node shares a shard with
-    // itself by construction, so they never cross a window boundary.
-    if (!params.distanceBased)
-        return avgTransitFor(num_nodes, params);
-    return params.perHop * 3 + params.header;
-}
-
 void
 MeshNetwork::setPerturb(std::function<Cycles(const protocol::Message &)> p)
 {
@@ -144,138 +86,43 @@ MeshNetwork::setPerturb(std::function<Cycles(const protocol::Message &)> p)
                              0);
 }
 
-Counter
-MeshNetwork::messages() const
-{
-    Counter n = 0;
-    for (const Endpoint &ep : eps_)
-        n += ep.messages;
-    return n;
-}
-
-Counter
-MeshNetwork::dataMessages() const
-{
-    Counter n = 0;
-    for (const Endpoint &ep : eps_)
-        n += ep.dataMessages;
-    return n;
-}
-
 std::uint32_t
-MeshNetwork::inFlight() const
+MeshNetwork::allocSlot()
 {
-    std::uint32_t n = 0;
-    for (const Endpoint &ep : eps_)
-        n += ep.inFlight;
-    return n;
-}
-
-std::uint32_t
-MeshNetwork::slabCapacity() const
-{
-    std::uint32_t n = 0;
-    for (const Endpoint &ep : eps_)
-        n += static_cast<std::uint32_t>(ep.slab.size()) * kSlabChunk;
-    return n;
-}
-
-std::uint32_t
-MeshNetwork::allocSlot(Endpoint &ep)
-{
-    if (!ep.freeSlots.empty()) {
-        std::uint32_t s = ep.freeSlots.back();
-        ep.freeSlots.pop_back();
+    if (!freeSlots_.empty()) {
+        std::uint32_t s = freeSlots_.back();
+        freeSlots_.pop_back();
         return s;
     }
-    std::uint32_t s =
-        static_cast<std::uint32_t>(ep.slab.size()) * kSlabChunk;
-    ep.slab.push_back(std::make_unique<protocol::Message[]>(kSlabChunk));
-    ep.freeSlots.reserve(ep.slab.size() * kSlabChunk);
+    std::uint32_t s = static_cast<std::uint32_t>(slab_.size()) * kSlabChunk;
+    slab_.push_back(std::make_unique<protocol::Message[]>(kSlabChunk));
+    freeSlots_.reserve(slab_.size() * kSlabChunk);
     for (std::uint32_t i = kSlabChunk - 1; i > 0; --i)
-        ep.freeSlots.push_back(s + i);
+        freeSlots_.push_back(s + i);
     return s;
 }
 
 void
-MeshNetwork::deliverSlot(std::uint32_t epIdx, std::uint32_t s)
+MeshNetwork::deliverSlot(std::uint32_t s)
 {
     // The slot is released only after the delivery callback returns:
     // chunk storage is stable, so the reference survives nested sends
     // that grow the slab, and the slot cannot be recycled underneath
     // the receiver.
-    Endpoint &ep = eps_[epIdx];
-    const protocol::Message &m = slot(ep, s);
+    const protocol::Message &m = slot(s);
     deliver_[m.dest](m);
-    ep.freeSlots.push_back(s);
-    --ep.inFlight;
+    freeSlots_.push_back(s);
+    --inFlight_;
 }
 
 void
 MeshNetwork::inject(const protocol::Message &msg, Tick when)
 {
-    // Both the slot and the delivery event live on the destination
-    // shard: the delivering thread frees the slot, so the slab must be
-    // the one that thread owns. A local send's source and destination
-    // shards coincide; a cross-shard message reaches the destination
-    // only at a window edge, when every shard is quiescent.
-    const std::uint32_t dst =
-        static_cast<std::uint32_t>(shardOf_[msg.dest]);
-    const std::uint32_t here =
-        static_cast<std::uint32_t>(shardOf_[msg.src]);
-    const std::uint64_t seq = srcSeq_[msg.src]++;
-    if (dst == here) {
-        Endpoint &ep = eps_[dst];
-        std::uint32_t s = allocSlot(ep);
-        slot(ep, s) = msg;
-        ++ep.inFlight;
-        ep.eq->scheduleNet(when, msg.src, seq,
-                           [this, dst, s] { deliverSlot(dst, s); });
-    } else {
-        eps_[here].outbox[dst].push_back(Staged{when, msg.src, seq, msg});
-    }
-}
-
-void
-MeshNetwork::exchangeWindows()
-{
-    // Allocation-free in steady state: the per-(src,dst) outbox
-    // vectors are pooled (clear() keeps capacity, so staged frames
-    // reuse last window's storage), slab slots are recycled, and the
-    // delivery closures fit the EventQueue's inline callback.
-    for (Endpoint &src : eps_) {
-        for (std::size_t dst = 0; dst < eps_.size(); ++dst) {
-            std::vector<Staged> &box = src.outbox[dst];
-            if (box.empty())
-                continue;
-            Endpoint &ep = eps_[dst];
-            for (const Staged &st : box) {
-                std::uint32_t s = allocSlot(ep);
-                slot(ep, s) = st.msg;
-                ++ep.inFlight;
-                const std::uint32_t d = static_cast<std::uint32_t>(dst);
-                ep.eq->scheduleNet(st.when, st.src, st.seq,
-                                   [this, d, s] { deliverSlot(d, s); });
-            }
-            box.clear();
-        }
-    }
-    if (!wire_)
-        return;
-    // Merge the staged wire frames the same way: the canonical
-    // (src, srcSeq) key makes the delivery interleave identical to the
-    // single-shard run's, frames and commit messages alike.
-    for (std::size_t srcSh = 0; srcSh < eps_.size(); ++srcSh) {
-        for (std::size_t dstSh = 0; dstSh < eps_.size(); ++dstSh) {
-            std::vector<WireStaged> &box = wire_->outbox[srcSh][dstSh];
-            for (const WireStaged &st : box) {
-                const WireFrame f = st.frame;
-                eps_[dstSh].eq->scheduleNet(st.when, st.src, st.seq,
-                                            [this, f] { wireArrive(f); });
-            }
-            box.clear();
-        }
-    }
+    const std::uint32_t s = allocSlot();
+    slot(s) = msg;
+    ++inFlight_;
+    eq_.scheduleNet(when, msg.src, srcSeq_[msg.src]++,
+                    [this, s] { deliverSlot(s); });
 }
 
 void
@@ -283,12 +130,11 @@ MeshNetwork::send(const protocol::Message &msg)
 {
     if (msg.dest >= deliver_.size() || !deliver_[msg.dest])
         panic("MeshNetwork: no receiver for %s", msg.toString().c_str());
-    Endpoint &src = eps_[static_cast<std::size_t>(shardOf_[msg.src])];
-    ++src.messages;
+    ++messages_;
     if (protocol::carriesData(msg.type))
-        ++src.dataMessages;
+        ++dataMessages_;
     Cycles lat = transit(msg.src, msg.dest);
-    Tick when = src.eq->now() + lat;
+    Tick when = eq_.now() + lat;
     if (perturb_) {
         when += perturb_(msg);
         // Clamp per (src, dest) pair: jitter must never reorder the
@@ -307,18 +153,17 @@ MeshNetwork::send(const protocol::Message &msg)
 void
 MeshNetwork::sendAt(const protocol::Message &msg, Tick departure)
 {
-    Endpoint &src = eps_[static_cast<std::size_t>(shardOf_[msg.src])];
     if (perturb_) {
         // The jitter clamp requires sends to be observed in departure
         // order; re-create the intermediate event the fast path elides.
-        src.eq->scheduleAt(departure, [this, msg] { send(msg); });
+        eq_.scheduleAt(departure, [this, msg] { send(msg); });
         return;
     }
     if (msg.dest >= deliver_.size() || !deliver_[msg.dest])
         panic("MeshNetwork: no receiver for %s", msg.toString().c_str());
-    ++src.messages;
+    ++messages_;
     if (protocol::carriesData(msg.type))
-        ++src.dataMessages;
+        ++dataMessages_;
     inject(msg, departure + transit(msg.src, msg.dest));
     if (wire_ && msg.src != msg.dest)
         wireOnSend(msg.src, msg.dest);
@@ -338,9 +183,6 @@ MeshNetwork::enableTransport(verify::FaultInjector *inj)
     // Base retransmit timeout: a round trip on the average path plus
     // the receiver's ack batching delay and a little slack.
     wire_->rtoBase = 2 * avgTransit_ + kAckDelay + 8;
-    wire_->outbox.resize(eps_.size());
-    for (auto &row : wire_->outbox)
-        row.resize(eps_.size());
 }
 
 Cycles
@@ -365,9 +207,8 @@ MeshNetwork::wireOnSend(NodeId src, NodeId dst)
         // First outstanding copy on an idle lane: arm the RTO. (The
         // lane's timer is cancelled whenever unacked empties, so a
         // size of one here always means "no timer pending".)
-        EventQueue &eq = *eps_[static_cast<std::size_t>(shardOf_[src])].eq;
-        sl.rto = eq.armTimer(eq.now() + rtoDelay(sl),
-                             [this, src, dst] { rtoFire(src, dst); });
+        sl.rto = eq_.armTimer(eq_.now() + rtoDelay(sl),
+                              [this, src, dst] { rtoFire(src, dst); });
     }
     wireTransmit(f, /*assured=*/false);
 }
@@ -375,8 +216,7 @@ MeshNetwork::wireOnSend(NodeId src, NodeId dst)
 void
 MeshNetwork::wireTransmit(const WireFrame &f, bool assured)
 {
-    Endpoint &src = eps_[static_cast<std::size_t>(shardOf_[f.src])];
-    Tick when = src.eq->now() + transit(f.src, f.dst);
+    Tick when = eq_.now() + transit(f.src, f.dst);
     if (!assured) {
         Cycles extra = 0;
         switch (wire_->inj->wireFate(f.src, f.dst, extra)) {
@@ -399,17 +239,8 @@ MeshNetwork::wireTransmit(const WireFrame &f, bool assured)
 void
 MeshNetwork::scheduleWireFrame(const WireFrame &f, Tick when)
 {
-    const std::uint32_t here =
-        static_cast<std::uint32_t>(shardOf_[f.src]);
-    const std::uint32_t dst = static_cast<std::uint32_t>(shardOf_[f.dst]);
-    const std::uint64_t key = srcSeq_[f.src]++;
-    if (dst == here) {
-        const WireFrame copy = f;
-        eps_[dst].eq->scheduleNet(when, f.src, key,
-                                  [this, copy] { wireArrive(copy); });
-    } else {
-        wire_->outbox[here][dst].push_back(WireStaged{when, f.src, key, f});
-    }
+    eq_.scheduleNet(when, f.src, srcSeq_[f.src]++,
+                    [this, f] { wireArrive(f); });
 }
 
 void
@@ -459,16 +290,15 @@ MeshNetwork::wireAckApply(NodeId snd, NodeId rcv, std::uint64_t cum)
         sl.unacked.pop_front();
         progress = true;
     }
-    EventQueue &eq = *eps_[static_cast<std::size_t>(shardOf_[snd])].eq;
     if (sl.unacked.empty()) {
         if (sl.rto.valid()) {
-            eq.cancelTimer(sl.rto);
+            eq_.cancelTimer(sl.rto);
             sl.rto = EventQueue::TimerId{};
         }
         sl.rtoStreak = 0;
     } else if (progress) {
         sl.rtoStreak = 0;
-        eq.rearmTimer(sl.rto, eq.now() + rtoDelay(sl));
+        eq_.rearmTimer(sl.rto, eq_.now() + rtoDelay(sl));
     }
 }
 
@@ -498,8 +328,7 @@ MeshNetwork::rtoFire(NodeId snd, NodeId rcv)
     wireTransmit(f, assured);
     if (sl.rtoStreak < kMaxRtoShift)
         ++sl.rtoStreak;
-    EventQueue &eq = *eps_[static_cast<std::size_t>(shardOf_[snd])].eq;
-    eq.rearmTimer(sl.rto, eq.now() + rtoDelay(sl));
+    eq_.rearmTimer(sl.rto, eq_.now() + rtoDelay(sl));
 }
 
 std::uint64_t
@@ -511,8 +340,7 @@ MeshNetwork::takeAck(NodeId frame_src, NodeId frame_dst)
     RecvLane &rl = recvLane(frame_dst, frame_src);
     if (rl.ackPending) {
         rl.ackPending = false;
-        eps_[static_cast<std::size_t>(shardOf_[frame_src])]
-            .eq->cancelTimer(rl.ackTimer);
+        eq_.cancelTimer(rl.ackTimer);
         rl.ackTimer = EventQueue::TimerId{};
     }
     return rl.cumIn;
@@ -525,13 +353,11 @@ MeshNetwork::scheduleAck(NodeId lane_src, NodeId lane_dst)
     if (rl.ackPending)
         return;
     rl.ackPending = true;
-    EventQueue &eq =
-        *eps_[static_cast<std::size_t>(shardOf_[lane_dst])].eq;
-    const Tick when = eq.now() + kAckDelay;
+    const Tick when = eq_.now() + kAckDelay;
     if (rl.ackTimer.valid())
-        eq.rearmTimer(rl.ackTimer, when);
+        eq_.rearmTimer(rl.ackTimer, when);
     else
-        rl.ackTimer = eq.armTimer(
+        rl.ackTimer = eq_.armTimer(
             when, [this, lane_src, lane_dst] { ackFire(lane_src, lane_dst); });
 }
 

@@ -76,10 +76,10 @@ class Program
      * (data pointer + size) plus the mutation version bumped by every
      * mutablePairs() call, so reassignment and in-place mutation both
      * invalidate it. Lazy build is not thread-safe: any program shared
-     * across threads — the process-wide handler set read by sweep
-     * workers and by the shards of a sharded run (sim/shard.hh) — must
-     * be pre-decoded before publication (protocol/pp_programs.cc
-     * does), after which concurrent decoded() calls are pure reads.
+     * across threads — the process-wide handler set read by
+     * SweepRunner workers (sim/sweep.hh) — must be pre-decoded before
+     * publication (protocol/pp_programs.cc does), after which
+     * concurrent decoded() calls are pure reads.
      */
     const DecodedProgram &decoded() const;
 

@@ -309,7 +309,7 @@ EventQueue::step()
     promoteOverflow(t);
     promoteNetOverflow(t);
     // Network lane first: within a tick every delivery precedes every
-    // normal event (the canonical cross-shard order; see scheduleNet).
+    // normal event (the canonical in-tick order; see scheduleNet).
     NetBucket &nb = netRing_[t & kRingMask];
     if (nb.head < nb.events.size()) {
         Callback cb = std::move(nb.events[nb.head].cb);

@@ -5,12 +5,11 @@
  * FlashLite (the paper's simulator) is a multi-threaded event-driven
  * memory-system simulator. Here every hardware unit schedules closures on
  * an EventQueue; ties are broken by insertion order so simulation is
- * fully deterministic. A sharded run (see sim/shard.hh) gives each shard
- * of nodes its own EventQueue and advances them in conservative time
- * windows; mesh deliveries travel in a separate *network lane* ordered
- * by a (source node, per-source sequence) key so that the same delivery
- * order falls out whether a message stayed on its own shard or was
- * staged across a window edge.
+ * fully deterministic. Mesh deliveries travel in a separate *network
+ * lane* ordered by a (source node, per-source sequence) key: within a
+ * tick every delivery runs before every normal event, in an order fixed
+ * by who sent what rather than by when the send was scheduled. That is
+ * the canonical in-tick order every simulated result depends on.
  */
 
 #ifndef FLASHSIM_SIM_EVENT_QUEUE_HH_
@@ -58,8 +57,8 @@ class EventQueue
     /** Ticks covered by the near-term bucket ring (power of two). */
     static constexpr std::size_t kRingSize = 1024;
 
-    /** Sentinel for "no pending event" (also used by the shard
-     *  scheduler as "no pending tick"). */
+    /** Sentinel for "no pending event" (also used by the machine's
+     *  sync phase as "nothing parked"). */
     static constexpr Tick kNever = ~Tick{0};
 
     EventQueue() = default;
@@ -84,8 +83,8 @@ class EventQueue
      * a degenerate zero-latency delivery falls back to the normal
      * lane). Within a tick every network-lane event runs before any
      * normal event, ordered by (@p src, @p srcSeq) — a canonical key
-     * independent of which shard scheduled it, so sharded and
-     * single-threaded runs interleave deliveries identically.
+     * that depends on the senders alone, not on the order in which
+     * the sends happened to be scheduled.
      */
     void scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
                      Callback cb);
@@ -109,8 +108,8 @@ class EventQueue
     /**
      * Earliest pending tick across all lanes (normal, network, and the
      * timer fires riding the normal lane), or kNever. O(1) when the
-     * cached horizon is warm (see nextCache_) — this is the query the
-     * sharded run loop and the window-edge horizon computation hammer.
+     * cached horizon is warm (see nextCache_) — the machine's run loop
+     * asks it once per simulated tick.
      * Armed timers bound it like any other event; a lazily cancelled
      * timer leaves its stale fire event behind, which can only make the
      * answer conservatively early, never late.

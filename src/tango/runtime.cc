@@ -1,5 +1,7 @@
 #include "tango/runtime.hh"
 
+#include <algorithm>
+
 namespace flashsim::tango
 {
 
@@ -20,18 +22,64 @@ BusyAwaiter::await_ready() noexcept
     return true;
 }
 
+Tick
+SyncPhase::nextTick() const
+{
+    Tick m = EventQueue::kNever;
+    for (const Op &op : ops_)
+        m = std::min(m, op.tick);
+    return m;
+}
+
+void
+SyncPhase::run(Tick u, EventQueue &eq)
+{
+    runTick_ = u;
+    while (true) {
+        // Round snapshot: every tick-u operation, in (node, seq) order.
+        // Operations parked while the batch runs (a released coroutine
+        // re-entering a sync point at this tick) form the next round.
+        batch_.clear();
+        for (std::size_t k = 0; k < ops_.size();) {
+            if (ops_[k].tick == u) {
+                batch_.push_back(ops_[k]);
+                ops_[k] = ops_.back();
+                ops_.pop_back();
+            } else {
+                ++k;
+            }
+        }
+        if (batch_.empty())
+            break;
+        std::sort(batch_.begin(), batch_.end(),
+                  [](const Op &a, const Op &b) {
+                      if (a.node != b.node)
+                          return a.node < b.node;
+                      return a.seq < b.seq;
+                  });
+        for (const Op &op : batch_)
+            op.h.resume();
+        // Resumed coroutines may have scheduled zero-time events at
+        // this tick (e.g. a queued write): drain them before the next
+        // round so the tick stays complete.
+        if (eq.nextTick() == u)
+            eq.drainTick(u);
+    }
+    runTick_ = EventQueue::kNever;
+}
+
 bool
 SyncPointAwaiter::await_ready() const noexcept
 {
-    if (!env->syncParker)
-        return true;
-    return env->syncInlineOk(env->proc().cursor());
+    return env->syncPhase == nullptr ||
+           env->syncPhase->inlineOk(env->proc().cursor());
 }
 
 void
 SyncPointAwaiter::await_suspend(std::coroutine_handle<> h)
 {
-    env->syncParker(env->proc().cursor(), h);
+    env->syncPhase->park(env->proc().cursor(),
+                         static_cast<NodeId>(env->id()), h);
 }
 
 void
@@ -114,10 +162,10 @@ Env::notifyBlockAcked(Addr)
 
 // Every access to the shared host-side variables (LockVar, BarrierVar)
 // below sits behind a syncPoint(): the decision logic runs inside the
-// machine's canonical sync phase, in (tick, node, sequence) order, so
-// races on the *host* state resolve identically however the run is
-// sharded. The simulated traffic (reads, writes, fetch&ops) is
-// untouched — syncPoint costs zero simulated time.
+// machine's sync phase, in (tick, node, sequence) order, so races on
+// the *host* state resolve by simulated time and node id alone. The
+// simulated traffic (reads, writes, fetch&ops) is untouched —
+// syncPoint costs zero simulated time.
 
 Task
 Env::lockAcquire(LockVar &l)

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cpu/processor.hh"
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
 #include "tango/task.hh"
 
@@ -51,13 +52,61 @@ struct BusyAwaiter
 };
 
 /**
+ * The machine's per-tick sync phase. Every access to shared host-side
+ * lock/barrier state parks here at its processor's current tick, and
+ * the machine's run loop, once that tick's events have drained, runs
+ * the parked continuations in (node, park sequence) order. Lock
+ * winners and barrier arrival order therefore depend only on simulated
+ * time and node ids, never on which coroutine the event queue happened
+ * to resume first.
+ */
+class SyncPhase
+{
+  public:
+    /** Defer @p h, suspended on behalf of @p node, into the phase at
+     *  @p tick (>= the machine's current tick). */
+    void
+    park(Tick tick, NodeId node, std::coroutine_handle<> h)
+    {
+        ops_.push_back(Op{tick, node, seq_++, h});
+    }
+
+    /** True while the phase at exactly @p tick is running: a sync
+     *  point reached inside it continues inline. */
+    bool inlineOk(Tick tick) const { return runTick_ == tick; }
+
+    /** Earliest parked tick, or EventQueue::kNever. */
+    Tick nextTick() const;
+
+    /**
+     * Run the phase at @p u: snapshot the tick-@p u operations, resume
+     * them in (node, seq) order, drain the tick-@p u events they
+     * scheduled on @p eq, and repeat until nothing is parked at @p u
+     * (a resumed coroutine may park again at the same tick).
+     */
+    void run(Tick u, EventQueue &eq);
+
+  private:
+    struct Op
+    {
+        Tick tick;
+        NodeId node;
+        std::uint64_t seq;
+        std::coroutine_handle<> h;
+    };
+
+    std::vector<Op> ops_;
+    /** One round's snapshot; a member so its storage is reused. */
+    std::vector<Op> batch_;
+    std::uint64_t seq_ = 0;
+    Tick runTick_ = EventQueue::kNever;
+};
+
+/**
  * Awaitable serializing access to shared *host-side* state (lock/
  * barrier variables). Zero simulated time: it defers the continuation
- * into the machine's canonical per-tick sync phase, where operations
- * run in (tick, node, per-node sequence) order regardless of how the
- * run is sharded across threads — the mechanism that keeps sharded
- * runs bit-identical to the single-threaded path (see sim/shard.hh).
- * When no machine wires the hooks (standalone Env), it is a no-op.
+ * into the machine's SyncPhase, which orders same-tick accesses by
+ * node. When no machine wires one (standalone Env), it is a no-op.
  */
 struct SyncPointAwaiter
 {
@@ -198,12 +247,9 @@ class Env
     std::function<void(NodeId, Addr, std::uint32_t, Tick)> blockSender;
     /** Node-side wiring: issue a fetch&op through this node's MAGIC. */
     std::function<void(Addr, Tick)> fetchOpSender;
-    /** Machine wiring: defer a continuation into the canonical sync
-     *  phase at the given tick. Unwired: syncPoint() is a no-op. */
-    std::function<void(Tick, std::coroutine_handle<>)> syncParker;
-    /** Machine wiring: may a sync point at this tick continue inline
-     *  (already inside the sync phase for that tick)? */
-    std::function<bool(Tick)> syncInlineOk;
+    /** Machine wiring: the sync phase syncPoint() parks in. Null
+     *  (standalone Env): syncPoint() is a no-op. */
+    SyncPhase *syncPhase = nullptr;
     /** Node-side wiring: a fetch&op this node issued completed. */
     void notifyFetchOpDone(Addr addr);
     /** Node-side wiring: a block finished arriving here. */

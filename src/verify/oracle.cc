@@ -91,35 +91,6 @@ CoherenceOracle::onHandler(NodeId node, bool at_home, Tick now,
     checkCaches(now, node, lb, *g, /*quiesced=*/false);
 }
 
-void
-CoherenceOracle::onHandlerDeferred(NodeId node, bool at_home, Tick now,
-                                   const Message &msg,
-                                   const HandlerResult &res)
-{
-    const Addr lb = lineBase(msg.addr);
-    if (!applyTransition(node, at_home, now, msg, res, lb))
-        return;
-    if (find(lb) != nullptr)
-        touched_.push_back(lb);
-}
-
-void
-CoherenceOracle::runDeferredChecks(Tick now)
-{
-    std::sort(touched_.begin(), touched_.end());
-    touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                   touched_.end());
-    for (Addr lb : touched_) {
-        GoldenLine *g = find(lb);
-        if (g == nullptr)
-            continue;
-        NodeId home = w_.homeOf(lb);
-        checkDirectory(now, home, lb, *g);
-        checkCaches(now, home, lb, *g, /*quiesced=*/false);
-    }
-    touched_.clear();
-}
-
 bool
 CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
                                  const Message &msg,

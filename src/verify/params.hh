@@ -50,8 +50,7 @@ struct FaultParams
     // on every mesh lane: wire copies of protocol messages are genuinely
     // dropped / duplicated / reordered, and sequencing + cumulative acks
     // + retransmit timers recover them. Fates come from per-(src,dst)-
-    // lane streams drawn in lane transmission order, so they are
-    // independent of the shard partition.
+    // lane streams drawn in lane transmission order.
 
     /** Probability a wire copy is dropped in flight (0 = off). */
     double wireDropProb = 0.0;

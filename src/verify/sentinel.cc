@@ -1,6 +1,5 @@
 #include "verify/sentinel.hh"
 
-#include <algorithm>
 #include <iostream>
 
 #include "sim/logging.hh"
@@ -11,8 +10,7 @@ namespace flashsim::verify
 Sentinel::Sentinel(EventQueue &eq, const VerifyParams &params,
                    int num_nodes)
     : eq_(eq), params_(params), numNodes_(num_nodes),
-      injector_(params.fault, num_nodes),
-      buffers_(static_cast<std::size_t>(num_nodes))
+      injector_(params.fault, num_nodes)
 {
     rings_.reserve(static_cast<std::size_t>(num_nodes));
     for (int i = 0; i < num_nodes; ++i)
@@ -44,9 +42,9 @@ Sentinel::wireOracle(CoherenceOracle::Wiring wiring)
 }
 
 void
-Sentinel::applyHandler(NodeId node, bool at_home, Tick now,
-                       const protocol::Message &msg,
-                       const protocol::HandlerResult &res, bool deferred)
+Sentinel::observeHandler(NodeId node, bool at_home, Tick now,
+                         const protocol::Message &msg,
+                         const protocol::HandlerResult &res)
 {
     TraceEntry e;
     e.tick = now;
@@ -59,45 +57,14 @@ Sentinel::applyHandler(NodeId node, bool at_home, Tick now,
     e.aux = msg.aux;
     rings_[node].record(e);
 
-    if (!oracle_)
-        return;
-    if (deferred)
-        oracle_->onHandlerDeferred(node, at_home, now, msg, res);
-    else
+    if (oracle_)
         oracle_->onHandler(node, at_home, now, msg, res);
-}
-
-void
-Sentinel::observeHandler(NodeId node, bool at_home, Tick now,
-                         const protocol::Message &msg,
-                         const protocol::HandlerResult &res)
-{
-    if (windowed_) {
-        Deferred d;
-        d.k = Deferred::K::Handler;
-        d.atHome = at_home;
-        d.tick = now;
-        d.msg = msg;
-        d.res = res;
-        buffers_[node].d.push_back(std::move(d));
-        return;
-    }
-    applyHandler(node, at_home, now, msg, res, /*deferred=*/false);
 }
 
 void
 Sentinel::recordInjected(NodeId node, Tick now, const protocol::Message &msg,
                          TraceEntry::Kind kind)
 {
-    if (windowed_) {
-        Deferred d;
-        d.k = Deferred::K::Injected;
-        d.ikind = kind;
-        d.tick = now;
-        d.msg = msg;
-        buffers_[node].d.push_back(std::move(d));
-        return;
-    }
     TraceEntry e;
     e.tick = now;
     e.kind = kind;
@@ -112,116 +79,22 @@ Sentinel::recordInjected(NodeId node, Tick now, const protocol::Message &msg,
 void
 Sentinel::txnStart(NodeId node, Addr addr)
 {
-    if (!watchdog_)
-        return;
-    if (windowed_) {
-        Deferred d;
-        d.k = Deferred::K::TxnStart;
-        d.tick = nodeEqs_[node]->now();
-        d.addr = addr;
-        buffers_[node].d.push_back(std::move(d));
-        return;
-    }
-    watchdog_->txnStart(node, addr);
+    if (watchdog_)
+        watchdog_->txnStart(node, addr);
 }
 
 void
 Sentinel::txnRetire(NodeId node, Addr addr)
 {
-    if (!watchdog_)
-        return;
-    if (windowed_) {
-        Deferred d;
-        d.k = Deferred::K::TxnRetire;
-        d.tick = nodeEqs_[node]->now();
-        d.addr = addr;
-        buffers_[node].d.push_back(std::move(d));
-        return;
-    }
-    watchdog_->txnRetire(node, addr);
+    if (watchdog_)
+        watchdog_->txnRetire(node, addr);
 }
 
 void
 Sentinel::txnRetry(NodeId node, Addr addr)
 {
-    if (!watchdog_)
-        return;
-    if (windowed_) {
-        Deferred d;
-        d.k = Deferred::K::TxnRetry;
-        d.tick = nodeEqs_[node]->now();
-        d.addr = addr;
-        buffers_[node].d.push_back(std::move(d));
-        return;
-    }
-    watchdog_->txnRetry(node, addr);
-}
-
-void
-Sentinel::flushWindow()
-{
-    if (!windowed_)
-        return;
-    // Merge the per-node buffers in canonical (tick, node, arrival)
-    // order: the exact order a single-threaded run would have produced
-    // these observations, so the trace rings and golden transitions
-    // are bit-identical across shard counts. Within one node the
-    // buffer is already tick-ordered, so a stable sort on tick with
-    // node as tiebreaker is a true merge. The ref list is a member so
-    // each window edge reuses the last one's storage.
-    std::vector<FlushRef> &order = flushOrder_;
-    order.clear();
-    for (NodeId n = 0; n < static_cast<NodeId>(numNodes_); ++n) {
-        const auto &buf = buffers_[n].d;
-        for (std::uint32_t i = 0; i < buf.size(); ++i)
-            order.push_back(FlushRef{buf[i].tick, n, i});
-    }
-    std::sort(order.begin(), order.end(),
-              [](const FlushRef &a, const FlushRef &b) {
-                  if (a.tick != b.tick)
-                      return a.tick < b.tick;
-                  if (a.node != b.node)
-                      return a.node < b.node;
-                  return a.idx < b.idx;
-              });
-
-    for (const FlushRef &r : order) {
-        Deferred &d = buffers_[r.node].d[r.idx];
-        switch (d.k) {
-          case Deferred::K::Handler:
-            applyHandler(r.node, d.atHome, d.tick, d.msg, d.res,
-                         /*deferred=*/true);
-            break;
-          case Deferred::K::Injected: {
-            TraceEntry e;
-            e.tick = d.tick;
-            e.kind = d.ikind;
-            e.type = d.msg.type;
-            e.src = d.msg.src;
-            e.requester = d.msg.requester;
-            e.addr = d.msg.addr;
-            e.aux = d.msg.aux;
-            rings_[r.node].record(e);
-            break;
-          }
-          case Deferred::K::TxnStart:
-            watchdog_->txnStart(r.node, d.addr);
-            break;
-          case Deferred::K::TxnRetire:
-            watchdog_->txnRetire(r.node, d.addr);
-            break;
-          case Deferred::K::TxnRetry:
-            watchdog_->txnRetry(r.node, d.addr);
-            break;
-        }
-    }
-    for (auto &buf : buffers_)
-        buf.d.clear();
-
-    // The cross-node invariant checks the live path runs per handler:
-    // once per touched line, against the quiescent window-edge state.
-    if (oracle_)
-        oracle_->runDeferredChecks(eq_.now());
+    if (watchdog_)
+        watchdog_->txnRetry(node, addr);
 }
 
 void

@@ -48,30 +48,6 @@ class Sentinel
      *  by machine::Machine once all nodes exist. */
     void wireOracle(CoherenceOracle::Wiring wiring);
 
-    /**
-     * Windowed (sharded) observation mode: hooks buffer per node
-     * instead of applying immediately — nodes advance on different
-     * threads, and the oracle/watchdog/trace state is shared. At every
-     * window edge the machine calls flushWindow(), which merges the
-     * buffers in canonical (tick, node, arrival) order and applies
-     * them; the trace rings and golden transitions end up identical to
-     * a single-threaded run's, and the oracle's cross-node checks run
-     * against the quiescent window-edge state.
-     */
-    void setWindowed(bool windowed) { windowed_ = windowed; }
-
-    /** Per-node shard queues: in windowed mode txnStart/txnRetire stamp
-     *  their buffered observation with the *calling node's* queue time
-     *  (the hook runs on that node's shard thread — reading the main
-     *  queue's clock from there would race and be the wrong time). */
-    void setNodeQueues(std::vector<const EventQueue *> qs)
-    {
-        nodeEqs_ = std::move(qs);
-    }
-
-    /** Apply all buffered observations (window edge, shards parked). */
-    void flushWindow();
-
     // -- Hooks from the hardware models -------------------------------------
 
     /** A protocol handler completed (all its cache operations applied).
@@ -129,33 +105,9 @@ class Sentinel
     void writePostMortem(std::ostream &os, const char *reason) const;
 
   private:
-    /** One buffered observation (windowed mode). */
-    struct Deferred
-    {
-        enum class K : std::uint8_t
-        {
-            Handler,
-            Injected,
-            TxnStart,
-            TxnRetire,
-            TxnRetry,
-        };
-
-        K k;
-        bool atHome = false;
-        TraceEntry::Kind ikind = TraceEntry::Kind::Handler;
-        Tick tick = 0;
-        Addr addr = 0;
-        protocol::Message msg{};
-        protocol::HandlerResult res{};
-    };
-
     void onViolation(const Violation &v);
     void onTrip(const std::string &reason);
     void dumpOnce(const char *reason);
-    void applyHandler(NodeId node, bool at_home, Tick now,
-                      const protocol::Message &msg,
-                      const protocol::HandlerResult &res, bool deferred);
 
     EventQueue &eq_;
     VerifyParams params_;
@@ -165,27 +117,6 @@ class Sentinel
     std::unique_ptr<Watchdog> watchdog_;
     std::unique_ptr<CoherenceOracle> oracle_;
     std::vector<TraceRing> rings_;
-
-    /** Per-node observation buffers (windowed mode); each is written
-     *  only by its node's shard during a window. Padded: adjacent
-     *  nodes may append from different threads. */
-    struct alignas(64) NodeBuffer
-    {
-        std::vector<Deferred> d;
-    };
-    std::vector<NodeBuffer> buffers_;
-    std::vector<const EventQueue *> nodeEqs_;
-    bool windowed_ = false;
-
-    /** Canonical-merge scratch reused across flushWindow() calls, so a
-     *  window edge allocates nothing in steady state. */
-    struct FlushRef
-    {
-        Tick tick;
-        NodeId node;
-        std::uint32_t idx;
-    };
-    std::vector<FlushRef> flushOrder_;
 
     bool dumped_ = false;
     int postMortemToken_ = -1;

@@ -22,24 +22,86 @@
 namespace
 {
 std::atomic<std::uint64_t> g_allocs{0};
+
+void *
+countedAlloc(std::size_t size) noexcept
+{
+    ++g_allocs;
+    return std::malloc(size == 0 ? 1 : size);
+}
+
+void *
+countedAlignedAlloc(std::size_t size, std::align_val_t align) noexcept
+{
+    ++g_allocs;
+    // aligned_alloc wants a nonzero multiple of the alignment.
+    const std::size_t a = static_cast<std::size_t>(align);
+    const std::size_t rounded = size == 0 ? a : (size + a - 1) / a * a;
+    return std::aligned_alloc(a, rounded);
+}
+
+void *
+orThrow(void *p)
+{
+    if (p == nullptr)
+        throw std::bad_alloc{};
+    return p;
+}
 } // namespace
+
+// Every replaceable form of new and delete is defined here, so no
+// allocation anywhere in the binary (the sanitizers' nothrow and
+// over-aligned paths included) escapes the counter or reaches a
+// different deallocator than the one that allocated it.
 
 void *
 operator new(std::size_t size)
 {
-    ++g_allocs;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc{};
+    return orThrow(countedAlloc(size));
 }
 
 void *
 operator new[](std::size_t size)
 {
-    ++g_allocs;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc{};
+    return orThrow(countedAlloc(size));
+}
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    return orThrow(countedAlignedAlloc(size, align));
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return orThrow(countedAlignedAlloc(size, align));
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align,
+             const std::nothrow_t &) noexcept
+{
+    return countedAlignedAlloc(size, align);
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align,
+               const std::nothrow_t &) noexcept
+{
+    return countedAlignedAlloc(size, align);
 }
 
 void
@@ -62,6 +124,55 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::align_val_t, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t,
+                  const std::nothrow_t &) noexcept
 {
     std::free(p);
 }

@@ -6,8 +6,7 @@
  * with drops, duplicates and reorders injected into the wire shadow
  * recovers every loss through acked retransmission, and its final
  * caches, directory and statistics are bit-identical to the clean
- * same-seed run — at 1, 2 and 4 shards, with the oracle watching and
- * zero watchdog trips. Transaction-level loss (requests killed at the
+ * same-seed run, with the oracle watching and zero watchdog trips. Transaction-level loss (requests killed at the
  * home NI) is the genuinely timing-perturbing fault class: those tests
  * assert recovery and coherence, not bit-identity, plus the graceful
  * degradation path when the retry budget runs out.
@@ -162,45 +161,30 @@ runTransport(const MachineConfig &cfg)
 
 // ---------------------------------------------------------------------------
 // The tentpole equivalence claim: a lossy run's final state is
-// bit-identical to the clean same-seed run, at 1, 2 and 4 shards.
+// bit-identical to the clean same-seed run.
 
 TEST(TransportTest, LossyRunBitIdenticalToCleanRunAcrossShards)
 {
-    CommitDigest reference;
-    bool haveReference = false;
-    for (int shards : {1, 2, 4}) {
-        SCOPED_TRACE("shards " + std::to_string(shards));
-        MachineConfig clean = transportConfig(4, 11);
-        clean.shards = shards;
-        MachineConfig lossy = clean;
-        addWireLoss(lossy);
+    MachineConfig clean = transportConfig(4, 11);
+    MachineConfig lossy = clean;
+    addWireLoss(lossy);
 
-        LossyRun c = runTransport(clean);
-        LossyRun l = runTransport(lossy);
+    LossyRun c = runTransport(clean);
+    LossyRun l = runTransport(lossy);
 
-        // The faults really happened and the ARQ machinery absorbed
-        // them (each fault class individually, per the acceptance bar).
-        EXPECT_GT(l.wireDrops, 0u);
-        EXPECT_GT(l.wireDups, 0u);
-        EXPECT_GT(l.wireReorders, 0u);
-        EXPECT_GT(l.wire.retransmits, 0u);
-        EXPECT_GT(l.wire.dupsFiltered, 0u);
-        EXPECT_GT(l.wire.reordersAccepted, 0u);
-        EXPECT_EQ(c.wire.copies, 0u); // clean run: transport off
+    // The faults really happened and the ARQ machinery absorbed them
+    // (each fault class individually, per the acceptance bar).
+    EXPECT_GT(l.wireDrops, 0u);
+    EXPECT_GT(l.wireDups, 0u);
+    EXPECT_GT(l.wireReorders, 0u);
+    EXPECT_GT(l.wire.retransmits, 0u);
+    EXPECT_GT(l.wire.dupsFiltered, 0u);
+    EXPECT_GT(l.wire.reordersAccepted, 0u);
+    EXPECT_EQ(c.wire.copies, 0u); // clean run: transport off
 
-        // ...and none of it was visible to the protocol: same final
-        // caches/directory, same execution time, same stats.
-        EXPECT_EQ(l.digest, c.digest);
-
-        // All shard counts agree with each other too.
-        if (!haveReference) {
-            reference = c.digest;
-            haveReference = true;
-        } else {
-            EXPECT_EQ(c.digest, reference);
-            EXPECT_EQ(l.digest, reference);
-        }
-    }
+    // ...and none of it was visible to the protocol: same final
+    // caches/directory, same execution time, same stats.
+    EXPECT_EQ(l.digest, c.digest);
 }
 
 TEST(TransportTest, LossComposesWithCommitPlaneInjection)
