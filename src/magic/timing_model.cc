@@ -48,6 +48,13 @@ TableTimingModel::cost(HandlerId id, int param)
       case HandlerId::OwnXferReceive: return 5;
       case HandlerId::NackReceive: return 3;
       case HandlerId::HomeNack: return 6;
+      // Table 3.4 has no row for the block-transfer and fetch&op
+      // handlers; the table model charges them nothing.
+      case HandlerId::BlockXferReceive:
+      case HandlerId::BlockAckReceive:
+      case HandlerId::FetchOpService:
+      case HandlerId::FetchOpAck:
+        return 0;
     }
     return 0;
 }

@@ -34,10 +34,9 @@ class InlineCallback
     /**
      * Inline capture budget. Sized for the largest lambda scheduled
      * in-tree: [this + Pending{Message, 2 Ticks, flags}] in
-     * magic::Magic::tryDispatch and [this, addr, in_sync, done =
-     * std::function] in cpu::Processor, both 64 bytes. The
-     * static_assert below turns a future oversized capture into a
-     * build error instead of a silent heap allocation.
+     * magic::Magic::tryDispatch, 64 bytes. The static_assert below
+     * turns a future oversized capture into a build error instead of
+     * a silent heap allocation.
      */
     static constexpr std::size_t kInlineBytes = 64;
 

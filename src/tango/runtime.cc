@@ -8,11 +8,10 @@ namespace flashsim::tango
 void
 MemAwaiter::await_suspend(std::coroutine_handle<> h)
 {
-    auto resume = [h]() { h.resume(); };
     if (isWrite)
-        env->proc().write(addr, env->inSync(), resume);
+        env->proc().write(addr, env->inSync(), h);
     else
-        env->proc().read(addr, env->inSync(), resume);
+        env->proc().read(addr, env->inSync(), h);
 }
 
 bool
@@ -20,15 +19,6 @@ BusyAwaiter::await_ready() noexcept
 {
     env->proc().busy(instrs, env->inSync());
     return true;
-}
-
-Tick
-SyncPhase::nextTick() const
-{
-    Tick m = EventQueue::kNever;
-    for (const Op &op : ops_)
-        m = std::min(m, op.tick);
-    return m;
 }
 
 void
@@ -40,17 +30,22 @@ SyncPhase::run(Tick u, EventQueue &eq)
         // Operations parked while the batch runs (a released coroutine
         // re-entering a sync point at this tick) form the next round.
         batch_.clear();
+        Tick rest = EventQueue::kNever;
         for (std::size_t k = 0; k < ops_.size();) {
             if (ops_[k].tick == u) {
                 batch_.push_back(ops_[k]);
                 ops_[k] = ops_.back();
                 ops_.pop_back();
             } else {
+                rest = std::min(rest, ops_[k].tick);
                 ++k;
             }
         }
-        if (batch_.empty())
+        if (batch_.empty()) {
+            // Nothing is left at u: the earliest later op is next.
+            minTick_ = rest;
             break;
+        }
         std::sort(batch_.begin(), batch_.end(),
                   [](const Op &a, const Op &b) {
                       if (a.node != b.node)

@@ -13,6 +13,7 @@
 #ifndef FLASHSIM_TANGO_RUNTIME_HH_
 #define FLASHSIM_TANGO_RUNTIME_HH_
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -69,14 +70,16 @@ class SyncPhase
     park(Tick tick, NodeId node, std::coroutine_handle<> h)
     {
         ops_.push_back(Op{tick, node, seq_++, h});
+        minTick_ = std::min(minTick_, tick);
     }
 
     /** True while the phase at exactly @p tick is running: a sync
      *  point reached inside it continues inline. */
     bool inlineOk(Tick tick) const { return runTick_ == tick; }
 
-    /** Earliest parked tick, or EventQueue::kNever. */
-    Tick nextTick() const;
+    /** Earliest parked tick, or EventQueue::kNever. O(1): the run
+     *  loop asks for it on every simulated tick. */
+    Tick nextTick() const { return minTick_; }
 
     /**
      * Run the phase at @p u: snapshot the tick-@p u operations, resume
@@ -100,6 +103,9 @@ class SyncPhase
     std::vector<Op> batch_;
     std::uint64_t seq_ = 0;
     Tick runTick_ = EventQueue::kNever;
+    /** min(op.tick) over ops_: lowered by park(), reset by run()'s
+     *  last scan. */
+    Tick minTick_ = EventQueue::kNever;
 };
 
 /**

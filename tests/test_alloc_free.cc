@@ -1,6 +1,8 @@
 /**
  * @file
- * Proves EventQueue::schedule() is allocation-free in steady state.
+ * Proves the hot path is allocation-free in steady state: the event
+ * queue's schedule()/step(), and a workload coroutine's read that hits
+ * in the cache (tango::Env::read -> Processor -> Cache -> resume).
  *
  * The whole point of InlineCallback + the bucket ring is that the
  * per-event path performs zero heap allocations once bucket capacity
@@ -17,7 +19,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "machine/machine.hh"
 #include "sim/event_queue.hh"
+#include "tango/runtime.hh"
+#include "tango/task.hh"
 
 namespace
 {
@@ -248,6 +253,51 @@ TEST(AllocFree, MaxCaptureIntoWarmBucketDoesNotAllocate)
     EXPECT_EQ(g_allocs.load(), before);
     eq.run();
     EXPECT_EQ(hits, 18);
+}
+
+/** Reads @p n lines round-robin out of @p lines starting at @p base. */
+tango::Task
+readLoop(tango::Env &env, Addr base, int lines, int n, int *done)
+{
+    for (int i = 0; i < n; ++i) {
+        co_await env.read(base + static_cast<Addr>(i % lines) * kLineSize);
+        ++*done;
+    }
+}
+
+TEST(AllocFree, WarmReadHitRoundTripDoesNotAllocate)
+{
+    // A standalone Env on node 0's processor: every read schedules the
+    // processor's event, hits in the cache and resumes the coroutine.
+    machine::Machine m(machine::MachineConfig::flash(2, 64u * 1024u));
+    constexpr int kLines = 64;
+    const Addr base = m.alloc(kLines * kLineSize, 0);
+    tango::Env env(&m.node(0).proc(), 0, 1);
+
+    // Cold pass: fill the lines. Warm pass: enough hits to wrap the
+    // event ring, so every bucket already has its capacity.
+    int done = 0;
+    {
+        tango::Task fill = readLoop(env, base, kLines, kLines, &done);
+        fill.start();
+        m.drain();
+        tango::Task warm = readLoop(env, base, kLines, 20000, &done);
+        warm.start();
+        m.drain();
+    }
+    ASSERT_EQ(done, kLines + 20000);
+    const std::uint64_t misses = m.node(0).cache().readMisses;
+
+    // The coroutine frame is the one allocation; make it first.
+    tango::Task t = readLoop(env, base, kLines, 8000, &done);
+    const std::uint64_t before = g_allocs.load();
+    t.start();
+    m.drain();
+    EXPECT_EQ(g_allocs.load(), before)
+        << "a warm read hit through tango::Env::read allocated";
+    EXPECT_TRUE(t.done());
+    EXPECT_EQ(done, kLines + 28000);
+    EXPECT_EQ(m.node(0).cache().readMisses, misses);
 }
 
 } // namespace

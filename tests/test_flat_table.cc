@@ -204,9 +204,11 @@ TEST(ScratchWordMap, ManyResetCyclesNeverResurrectStaleEntries)
         EXPECT_EQ(*b, gen + 1);
         // A key from the previous generation that is not in this one
         // must read as absent even though its slot bytes are intact.
-        if (gen > 0 && (gen - 1) % 7 != base && (gen - 1) % 7 != base + 1)
+        if (gen > 0 && (gen - 1) % 7 != base &&
+            (gen - 1) % 7 != base + 1) {
             EXPECT_EQ(m.find((gen - 1) % 7), nullptr)
                 << "generation " << gen;
+        }
         m.reset();
     }
 }

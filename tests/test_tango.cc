@@ -1,11 +1,16 @@
 /**
  * @file
  * Unit tests for the Tango coroutine runtime: task composition,
- * awaitable behavior, sync-time attribution, and the combining-tree
+ * awaitable behavior, sync-time attribution, the sync phase's parking
+ * and next-tick bookkeeping, the processor resuming a workload's
+ * coroutine handle on each memory path, and the combining-tree
  * barrier's group structure.
  */
 
 #include <gtest/gtest.h>
+
+#include <coroutine>
+#include <vector>
 
 #include "machine/machine.hh"
 #include "tango/task.hh"
@@ -122,6 +127,264 @@ TEST(TangoEnv, LockCountsAcquisitions)
     });
     EXPECT_EQ(lock->acquisitions, 12u);
     EXPECT_FALSE(lock->held);
+}
+
+/** Parks the awaiting coroutine in @p sp at @p tick on behalf of
+ *  @p node, as SyncPointAwaiter does at the processor's cursor. */
+struct ParkAt
+{
+    SyncPhase *sp;
+    Tick tick;
+    NodeId node;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { sp->park(tick, node, h); }
+    void await_resume() const noexcept {}
+};
+
+/** Parks at each of @p ticks in turn, logging each tick it resumes at. */
+Task
+parkAtEach(SyncPhase &sp, NodeId node, std::vector<Tick> ticks,
+           std::vector<Tick> *log)
+{
+    for (Tick t : ticks) {
+        co_await ParkAt{&sp, t, node};
+        log->push_back(t);
+    }
+}
+
+TEST(SyncPhase, EmptyPhaseHasNoNextTick)
+{
+    SyncPhase sp;
+    EXPECT_EQ(sp.nextTick(), EventQueue::kNever);
+}
+
+TEST(SyncPhase, NextTickIsEarliestParked)
+{
+    SyncPhase sp;
+    std::vector<Tick> log;
+    Task late = parkAtEach(sp, 0, {20}, &log);
+    Task early = parkAtEach(sp, 1, {10}, &log);
+    late.start();
+    EXPECT_EQ(sp.nextTick(), 20u);
+    early.start();
+    EXPECT_EQ(sp.nextTick(), 10u);
+}
+
+TEST(SyncPhase, RunLeavesLaterTicksParked)
+{
+    SyncPhase sp;
+    EventQueue eq;
+    std::vector<Tick> log;
+    Task late = parkAtEach(sp, 0, {20}, &log);
+    Task early = parkAtEach(sp, 1, {10}, &log);
+    late.start();
+    early.start();
+    sp.run(10, eq);
+    EXPECT_EQ(log, std::vector<Tick>{10});
+    EXPECT_TRUE(early.done());
+    EXPECT_FALSE(late.done());
+    EXPECT_EQ(sp.nextTick(), 20u);
+    sp.run(20, eq);
+    EXPECT_EQ(log, (std::vector<Tick>{10, 20}));
+    EXPECT_TRUE(late.done());
+    EXPECT_EQ(sp.nextTick(), EventQueue::kNever);
+}
+
+TEST(SyncPhase, SameTickReparkDrainsInOneRun)
+{
+    SyncPhase sp;
+    EventQueue eq;
+    std::vector<Tick> log;
+    Task t = parkAtEach(sp, 0, {10, 10, 10}, &log);
+    t.start();
+    sp.run(10, eq);
+    EXPECT_EQ(log, (std::vector<Tick>{10, 10, 10}));
+    EXPECT_TRUE(t.done());
+    EXPECT_EQ(sp.nextTick(), EventQueue::kNever);
+}
+
+TEST(SyncPhase, LaterParkDuringRunLowersMinimum)
+{
+    SyncPhase sp;
+    EventQueue eq;
+    std::vector<Tick> log;
+    Task far = parkAtEach(sp, 1, {50}, &log);
+    Task t = parkAtEach(sp, 0, {10, 30}, &log);
+    far.start();
+    t.start();
+    sp.run(10, eq);
+    // The re-park at 30 happened inside run(10), below the 50 parked
+    // before it.
+    EXPECT_EQ(sp.nextTick(), 30u);
+    sp.run(30, eq);
+    EXPECT_EQ(sp.nextTick(), 50u);
+    sp.run(50, eq);
+    EXPECT_EQ(log, (std::vector<Tick>{10, 30, 50}));
+    EXPECT_EQ(sp.nextTick(), EventQueue::kNever);
+}
+
+/** Hands the awaiting coroutine its own handle without suspending. */
+struct OwnHandle
+{
+    std::coroutine_handle<> *out;
+
+    bool await_ready() const noexcept { return false; }
+    bool
+    await_suspend(std::coroutine_handle<> h) noexcept
+    {
+        *out = h;
+        return false;
+    }
+    void await_resume() const noexcept {}
+};
+
+/** Counts its resumes: each one bumps *resumes and suspends again. */
+Task
+resumeCounter(std::coroutine_handle<> *self, int *resumes)
+{
+    co_await OwnHandle{self};
+    while (true) {
+        co_await std::suspend_always{};
+        ++*resumes;
+    }
+}
+
+/**
+ * Node 0's processor driven directly with a counting coroutine's
+ * handle, the way MemAwaiter passes the workload's: every memory path
+ * (hit, miss, retry after MshrFull or Conflict) must resume it exactly
+ * once and charge its stall to the right Breakdown slot.
+ */
+class ProcessorResume : public ::testing::Test
+{
+  protected:
+    static constexpr std::uint32_t kCacheBytes = 64u * 1024u;
+
+    ProcessorResume()
+        : m_(MachineConfig::flash(2, kCacheBytes)),
+          // Two lines one way-size apart share a set.
+          setStride_(kCacheBytes / m_.config().cache.assoc),
+          base_(m_.alloc(2 * setStride_, 0)),
+          counter_(resumeCounter(&h_, &resumes_))
+    {
+        counter_.start();
+    }
+
+    cpu::Processor &proc() { return m_.node(0).proc(); }
+    const cpu::Cache &cache() { return m_.node(0).cache(); }
+    Addr line(int i) { return base_ + static_cast<Addr>(i) * kLineSize; }
+
+    /** Run the events due up to the processor's cursor: an operation
+     *  just issued has made its first attempt. */
+    void
+    runToCursor()
+    {
+        EventQueue &eq = m_.eq();
+        while (eq.nextTick() <= proc().cursor())
+            eq.drainTick(eq.nextTick());
+    }
+
+    /** Drain every event, then bring the cursor up to the queue's time
+     *  with compute, which charges Busy only. */
+    void
+    settle()
+    {
+        m_.drain();
+        const Tick now = m_.eq().now();
+        if (now > proc().cursor())
+            proc().busy((now - proc().cursor()) *
+                            cpu::Processor::kIssueWidth,
+                        false);
+    }
+
+    Machine m_;
+    Addr setStride_;
+    Addr base_;
+    std::coroutine_handle<> h_;
+    int resumes_ = 0;
+    Task counter_;
+};
+
+TEST_F(ProcessorResume, ReadMissAndHitResumeOnceAndChargeRead)
+{
+    const cpu::Processor::Breakdown bd0 = proc().breakdown();
+    proc().read(line(0), false, h_);
+    m_.drain();
+    EXPECT_EQ(resumes_, 1);
+    EXPECT_EQ(cache().readMisses, 1u);
+    const cpu::Processor::Breakdown bd1 = proc().breakdown();
+    EXPECT_GT(bd1.read, bd0.read);
+    EXPECT_EQ(bd1.write, bd0.write);
+    EXPECT_EQ(bd1.sync, bd0.sync);
+
+    settle();
+    const cpu::Processor::Breakdown bd2 = proc().breakdown();
+    proc().read(line(0), false, h_);
+    m_.drain();
+    EXPECT_EQ(resumes_, 2);
+    EXPECT_EQ(cache().reads, 2u);
+    EXPECT_EQ(cache().readMisses, 1u); // the second read hit
+    const cpu::Processor::Breakdown bd3 = proc().breakdown();
+    EXPECT_EQ(bd3.read, bd2.read);
+    EXPECT_EQ(bd3.write, bd2.write);
+    EXPECT_EQ(bd3.sync, bd2.sync);
+}
+
+TEST_F(ProcessorResume, ReadMissInSyncChargesSync)
+{
+    const cpu::Processor::Breakdown bd0 = proc().breakdown();
+    proc().read(line(0), true, h_);
+    m_.drain();
+    EXPECT_EQ(resumes_, 1);
+    const cpu::Processor::Breakdown bd1 = proc().breakdown();
+    EXPECT_GT(bd1.sync, bd0.sync);
+    EXPECT_EQ(bd1.read, bd0.read);
+}
+
+TEST_F(ProcessorResume, ReadRetriedAfterMshrFullResumesOnce)
+{
+    // Four non-blocking write misses to distinct sets take every MSHR;
+    // each resumes at once and stalls nothing.
+    const int mshrs = m_.config().cache.mshrs;
+    for (int i = 0; i < mshrs; ++i) {
+        proc().write(line(i), false, h_);
+        runToCursor();
+        EXPECT_EQ(resumes_, i + 1);
+    }
+    EXPECT_EQ(proc().breakdown().write, 0u);
+
+    const cpu::Processor::Breakdown bd0 = proc().breakdown();
+    proc().read(line(mshrs), false, h_);
+    runToCursor();
+    EXPECT_EQ(resumes_, mshrs); // parked on onMshrFree
+    EXPECT_EQ(cache().reads, 0u); // MshrFull does not count the read
+    m_.drain();
+    EXPECT_EQ(resumes_, mshrs + 1);
+    EXPECT_EQ(cache().reads, 1u);
+    const cpu::Processor::Breakdown bd1 = proc().breakdown();
+    EXPECT_GT(bd1.read, bd0.read);
+    EXPECT_EQ(bd1.write, bd0.write);
+}
+
+TEST_F(ProcessorResume, WriteRetriedAfterConflictResumesOnce)
+{
+    proc().write(line(0), false, h_);
+    runToCursor();
+    EXPECT_EQ(resumes_, 1);
+
+    // Same set, different tag, while line 0's miss is outstanding.
+    const cpu::Processor::Breakdown bd0 = proc().breakdown();
+    proc().write(line(0) + setStride_, false, h_);
+    runToCursor();
+    EXPECT_EQ(resumes_, 1); // parked on onMshrFree
+    EXPECT_EQ(cache().writes, 1u); // Conflict does not count the write
+    m_.drain();
+    EXPECT_EQ(resumes_, 2);
+    EXPECT_EQ(cache().writes, 2u);
+    const cpu::Processor::Breakdown bd1 = proc().breakdown();
+    EXPECT_GT(bd1.write, bd0.write);
+    EXPECT_EQ(bd1.read, bd0.read);
 }
 
 TEST(Barrier, GroupStructureMatchesArity)
