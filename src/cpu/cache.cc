@@ -59,6 +59,23 @@ Cache::findWay(Addr addr) const
     return -1;
 }
 
+Addr
+Cache::wayLine(std::size_t w) const
+{
+    const Addr set = w / p_.assoc;
+    return ((ways_[w].tag << setShift_) + set) << lineShift_;
+}
+
+void
+Cache::setState(std::size_t w, State st)
+{
+    if (states_[w] == st)
+        return;
+    states_[w] = st;
+    if (verify::Sentinel *s = magic_.sentinel())
+        s->cacheStateChanged(self_, wayLine(w), static_cast<int>(st));
+}
+
 Cache::Mshr *
 Cache::findMshr(Addr line)
 {
@@ -193,7 +210,7 @@ Cache::installLine(Addr line, State st)
     // line already resident: promote in place, never duplicate the tag.
     if (std::int32_t w = findWay(line); w >= 0) {
         if (st == State::Exclusive)
-            states_[w] = State::Exclusive;
+            setState(static_cast<std::size_t>(w), State::Exclusive);
         ways_[w].lru = ++lruClock_;
         return;
     }
@@ -213,19 +230,14 @@ Cache::installLine(Addr line, State st)
     }
     if (states_[victim] == State::Exclusive) {
         ++writebacks;
-        Addr victim_line = ((ways_[victim].tag << setShift_) +
-                            setIndex(line))
-                           << lineShift_;
-        sendRequest(MsgType::PiWriteback, victim_line, true);
+        sendRequest(MsgType::PiWriteback, wayLine(victim), true);
     } else if (states_[victim] == State::Shared) {
         ++replaceHints;
-        Addr victim_line = ((ways_[victim].tag << setShift_) +
-                            setIndex(line))
-                           << lineShift_;
-        sendRequest(MsgType::PiReplaceHint, victim_line, true);
+        sendRequest(MsgType::PiReplaceHint, wayLine(victim), true);
     }
-    states_[victim] = st;
+    setState(victim, State::Invalid);
     ways_[victim].tag = tag;
+    setState(victim, st);
     ways_[victim].lru = ++lruClock_;
 }
 
@@ -332,7 +344,7 @@ Cache::fill(const Message &msg)
         // A racing invalidation already hit this line: the blocked read
         // consumes the critical word, but the copy must not persist.
         if (std::int32_t w = findWay(line); w >= 0)
-            states_[w] = State::Invalid;
+            setState(static_cast<std::size_t>(w), State::Invalid);
     }
 
     if (m->needsUpgrade && st == State::Shared) {
@@ -403,7 +415,7 @@ Cache::invalidate(Addr addr)
 {
     ++invalsReceived;
     if (std::int32_t w = findWay(addr); w >= 0)
-        states_[w] = State::Invalid;
+        setState(static_cast<std::size_t>(w), State::Invalid);
     // The invalidation may have raced ahead of a read reply in flight
     // to this node (replies wait for memory data, invals do not).
     if (Mshr *m = findMshr(lineBase(addr))) {
@@ -417,7 +429,7 @@ Cache::downgrade(Addr addr)
 {
     if (std::int32_t w = findWay(addr); w >= 0) {
         if (states_[w] == State::Exclusive)
-            states_[w] = State::Shared;
+            setState(static_cast<std::size_t>(w), State::Shared);
     }
 }
 

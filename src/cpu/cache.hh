@@ -164,6 +164,15 @@ class Cache
 
     /** Index of @p addr's way, or -1 when not resident. */
     std::int32_t findWay(Addr addr) const;
+    /** Line base address held by way @p w (its tag must be valid). */
+    Addr wayLine(std::size_t w) const;
+    /**
+     * The one writer of states_. With a coherence oracle attached, each
+     * change is reported to it for its holder index; the line is taken
+     * from the way's tag, so an install writes the tag first and an
+     * eviction clears the victim's old line before the tag is reused.
+     */
+    void setState(std::size_t w, State st);
     Mshr *findMshr(Addr line);
     Mshr *allocMshr();
     std::uint32_t setIndex(Addr addr) const;

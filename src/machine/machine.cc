@@ -48,12 +48,8 @@ Machine::Machine(const MachineConfig &cfg)
         verify::CoherenceOracle::Wiring w;
         w.numNodes = cfg_.numProcs;
         w.homeOf = [this](Addr a) { return homeOf(a); };
-        w.header = [this](NodeId home, Addr line) {
-            return nodes_[home]->magic().directory().header(line);
-        };
-        w.sharers = [this](NodeId home, Addr line) {
-            return nodes_[home]->magic().directory().sharers(line);
-        };
+        for (auto &n : nodes_)
+            w.directories.push_back(&n->magic().directory());
         w.cacheState = [this](NodeId n, Addr line) {
             switch (nodes_[n]->cache().state(line)) {
               case cpu::Cache::State::Invalid: return 0;
@@ -283,10 +279,10 @@ Machine::stateDigest() const
     };
     for (Addr line = base_; line < next_; line += kLineSize) {
         const NodeId home = homeOf(line);
-        const auto hdr = nodes_[home]->magic().directory().header(line);
-        mix(hdr.pack());
-        for (NodeId s : nodes_[home]->magic().directory().sharers(line))
-            mix(s);
+        const protocol::DirectoryStore &dir =
+            nodes_[home]->magic().directory();
+        mix(dir.header(line).pack());
+        dir.forEachSharer(line, [&mix](NodeId s) { mix(s); });
         for (const auto &n : nodes_)
             mix(static_cast<std::uint64_t>(n->cache().state(line)));
     }

@@ -153,8 +153,23 @@ Magic::sendBlock(NodeId dest, Addr addr, std::uint32_t bytes)
     }
 }
 
+Magic::Pending
+Magic::InQueue::pop()
+{
+    Pending p = std::move(items[head++]);
+    if (head == items.size()) {
+        items.clear();
+        head = 0;
+    } else if (head >= 64 && 2 * head >= items.size()) {
+        items.erase(items.begin(),
+                    items.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+    }
+    return p;
+}
+
 void
-Magic::enqueue(std::deque<Pending> &q, const Message &msg)
+Magic::enqueue(InQueue &q, const Message &msg)
 {
     // Injected replacement-hint perturbation: a dropped hint leaves a
     // stale sharer pointer in the directory (cleaned up by a later
@@ -192,7 +207,7 @@ Magic::enqueue(std::deque<Pending> &q, const Message &msg)
             p.specReady = mem_.read(eq_.now() + params_.jumpTable);
             ++specIssued;
         }
-        q.push_back(std::move(p));
+        q.push(std::move(p));
     }
     tryDispatch();
 }
@@ -202,7 +217,7 @@ Magic::tryDispatch()
 {
     if (ppBusy_)
         return;
-    std::deque<Pending> *q = nullptr;
+    InQueue *q = nullptr;
     if (!piQueue_.empty() && !niQueue_.empty()) {
         q = pickPiFirst_ ? &piQueue_ : &niQueue_;
         pickPiFirst_ = !pickPiFirst_;
@@ -214,8 +229,7 @@ Magic::tryDispatch()
         return;
     }
 
-    Pending p = q->front();
-    q->pop_front();
+    Pending p = q->pop();
     queueStallCycles += eq_.now() - p.enqueued;
     ppBusy_ = true;
 

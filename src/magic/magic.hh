@@ -26,9 +26,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "magic/data_buffer.hh"
 #include "magic/jump_table.hh"
@@ -192,7 +192,25 @@ class Magic
         Tick specReady = 0;
     };
 
-    void enqueue(std::deque<Pending> &q, const protocol::Message &msg);
+    /**
+     * One inbound queue: a vector read from a head index, with the
+     * storage recycled (cleared, capacity kept) each time the queue
+     * drains, as EventQueue's buckets are — a deque would allocate a
+     * node block as it grows. A queue that stays busy is compacted once
+     * its consumed prefix outweighs the live entries, so it never grows
+     * past twice its peak depth.
+     */
+    struct InQueue
+    {
+        std::vector<Pending> items;
+        std::size_t head = 0;
+
+        bool empty() const { return head == items.size(); }
+        void push(Pending p) { items.push_back(std::move(p)); }
+        Pending pop();
+    };
+
+    void enqueue(InQueue &q, const protocol::Message &msg);
     void tryDispatch();
     void runHandler(const Pending &pending);
     void launch(const protocol::Message &msg, Tick pp_end, Tick gate);
@@ -234,8 +252,8 @@ class Magic
     std::unique_ptr<HandlerTimingModel> timing_;
     PpTimingModel *ppModel_ = nullptr; ///< non-null iff usePpEmulator
 
-    std::deque<Pending> piQueue_;
-    std::deque<Pending> niQueue_;
+    InQueue piQueue_;
+    InQueue niQueue_;
     bool ppBusy_ = false;
     bool pickPiFirst_ = true;
 

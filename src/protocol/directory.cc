@@ -35,15 +35,6 @@ DirHeader::pack() const
     return w;
 }
 
-LinkEntry
-LinkEntry::unpack(std::uint64_t w)
-{
-    LinkEntry e;
-    e.node = static_cast<NodeId>(w & 0xffff);
-    e.next = static_cast<std::uint32_t>((w >> 16) & 0xffff);
-    return e;
-}
-
 std::uint64_t
 LinkEntry::pack() const
 {
@@ -248,12 +239,7 @@ std::vector<NodeId>
 DirectoryStore::sharers(Addr line) const
 {
     std::vector<NodeId> out;
-    std::uint32_t idx = header(line).head;
-    while (idx != 0) {
-        LinkEntry e = link(idx);
-        out.push_back(e.node);
-        idx = e.next;
-    }
+    forEachSharer(line, [&out](NodeId n) { out.push_back(n); });
     return out;
 }
 

@@ -118,7 +118,12 @@ struct LinkEntry
     NodeId node = 0;
     std::uint32_t next = 0;
 
-    static LinkEntry unpack(std::uint64_t w);
+    static LinkEntry
+    unpack(std::uint64_t w)
+    {
+        return {static_cast<NodeId>(w & 0xffff),
+                static_cast<std::uint32_t>((w >> 16) & 0xffff)};
+    }
     std::uint64_t pack() const;
 };
 
@@ -160,7 +165,21 @@ class DirectoryStore
      */
     int removeSharer(Addr line, NodeId node);
 
-    /** All sharers of @p line, head first. */
+    /** Call @p fn(node) for each sharer of @p line, head first, in
+     *  place: the invalidation fan-out, the coherence oracle and the
+     *  state digest walk the list without building a vector. */
+    template <typename Fn>
+    void
+    forEachSharer(Addr line, Fn &&fn) const
+    {
+        for (std::uint32_t idx = header(line).head; idx != 0;) {
+            const LinkEntry e = LinkEntry::unpack(linkWord(idx));
+            fn(e.node);
+            idx = e.next;
+        }
+    }
+
+    /** All sharers of @p line, head first (a copy, for tests). */
     std::vector<NodeId> sharers(Addr line) const;
 
     bool isSharer(Addr line, NodeId node) const;

@@ -238,9 +238,9 @@ ProtocolEngine::handleGetxAtHome(const Message &msg)
     r.id = HandlerId::ServeWriteMemory;
     r.memRead = true;
     std::uint32_t acks = 0;
-    for (NodeId s : dir_.sharers(addr)) {
+    dir_.forEachSharer(addr, [&](NodeId s) {
         if (s == req)
-            continue;
+            return;
         if (s == self_) {
             // Invalidate the home's own processor cache and ack on its
             // behalf (requester is necessarily remote here).
@@ -252,7 +252,7 @@ ProtocolEngine::handleGetxAtHome(const Message &msg)
                 {make(MsgType::NetInval, s, addr, req), Gate::None});
         }
         ++acks;
-    }
+    });
     r.costParam = static_cast<int>(acks);
     dir_.clearSharers(addr);
     h = dir_.header(addr);

@@ -1,6 +1,8 @@
 #include "verify/oracle.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -37,6 +39,28 @@ bit(NodeId n)
     return std::uint64_t{1} << n;
 }
 
+/** Lowest node in a nonzero bitmask. */
+NodeId
+lowest(std::uint64_t mask)
+{
+    return static_cast<NodeId>(std::countr_zero(mask));
+}
+
+/** mirrorExtra_ key of node @p n's listings of @p line_base. */
+std::uint64_t
+dupKey(Addr line_base, NodeId n)
+{
+    return (lineNumber(line_base) << 6) | n;
+}
+
+std::string
+hexMask(std::uint64_t mask)
+{
+    std::ostringstream os;
+    os << "0x" << std::hex << mask;
+    return os.str();
+}
+
 } // namespace
 
 CoherenceOracle::CoherenceOracle(Wiring wiring, bool allow_hint_anomalies)
@@ -48,19 +72,109 @@ CoherenceOracle::CoherenceOracle(Wiring wiring, bool allow_hint_anomalies)
 }
 
 CoherenceOracle::GoldenLine &
+CoherenceOracle::record(Addr line_base)
+{
+    const std::uint64_t ln = lineNumber(line_base);
+    Counter &slot = pageSlot_[ln >> kPageShift];
+    if (slot == 0) {
+        pages_.push_back(std::make_unique<GoldenLine[]>(kPageLines));
+        slot = pages_.size();
+    }
+    return pages_[slot - 1][ln & (kPageLines - 1)];
+}
+
+CoherenceOracle::GoldenLine *
+CoherenceOracle::findRecord(Addr line_base) const
+{
+    const std::uint64_t ln = lineNumber(line_base);
+    const Counter *slot = pageSlot_.find(ln >> kPageShift);
+    return slot == nullptr ? nullptr
+                           : &pages_[*slot - 1][ln & (kPageLines - 1)];
+}
+
+CoherenceOracle::GoldenLine &
 CoherenceOracle::line(Addr line_base)
 {
-    GoldenLine &g = lines_[line_base];
-    if (g.mirrorCount.empty())
-        g.mirrorCount.resize(static_cast<std::size_t>(w_.numNodes), 0);
+    GoldenLine &g = record(line_base);
+    if (!g.tracked) {
+        g.tracked = true;
+        ++tracked_;
+    }
     return g;
 }
 
 CoherenceOracle::GoldenLine *
 CoherenceOracle::find(Addr line_base)
 {
-    auto it = lines_.find(line_base);
-    return it == lines_.end() ? nullptr : &it->second;
+    GoldenLine *g = findRecord(line_base);
+    return g != nullptr && g->tracked ? g : nullptr;
+}
+
+unsigned
+CoherenceOracle::mirrorCount(const GoldenLine &g, Addr line_base,
+                             NodeId n) const
+{
+    if ((g.mirrorSharers & bit(n)) == 0)
+        return 0;
+    if (!g.mirrorDups)
+        return 1;
+    const Counter *extra = mirrorExtra_.find(dupKey(line_base, n));
+    return 1 + static_cast<unsigned>(extra != nullptr ? *extra : 0);
+}
+
+void
+CoherenceOracle::addMirror(GoldenLine &g, Addr line_base, NodeId n)
+{
+    if ((g.mirrorSharers & bit(n)) == 0) {
+        g.mirrorSharers |= bit(n);
+        return;
+    }
+    g.mirrorDups = true;
+    ++mirrorExtra_[dupKey(line_base, n)];
+}
+
+bool
+CoherenceOracle::dropMirror(GoldenLine &g, Addr line_base, NodeId n)
+{
+    if (g.mirrorDups) {
+        Counter &extra = mirrorExtra_[dupKey(line_base, n)];
+        if (extra != 0) {
+            --extra;
+            return false;
+        }
+    }
+    g.mirrorSharers &= ~bit(n);
+    return true;
+}
+
+void
+CoherenceOracle::clearMirror(GoldenLine &g, Addr line_base)
+{
+    if (g.mirrorDups) {
+        for (std::uint64_t m = g.mirrorSharers; m != 0; m &= m - 1)
+            mirrorExtra_[dupKey(line_base, lowest(m))] = 0;
+        g.mirrorDups = false;
+    }
+    g.mirrorSharers = 0;
+}
+
+void
+CoherenceOracle::noteCacheState(NodeId node, Addr line, int state)
+{
+    Holders &h = record(line).held;
+    h.shared &= ~bit(node);
+    h.exclusive &= ~bit(node);
+    if (state == 1)
+        h.shared |= bit(node);
+    else if (state == 2)
+        h.exclusive |= bit(node);
+}
+
+CoherenceOracle::Holders
+CoherenceOracle::holders(Addr line) const
+{
+    const GoldenLine *g = findRecord(lineBase(line));
+    return g != nullptr ? g->held : Holders{};
 }
 
 void
@@ -80,18 +194,15 @@ CoherenceOracle::onHandler(NodeId node, bool at_home, Tick now,
                            const Message &msg, const HandlerResult &res)
 {
     const Addr lb = lineBase(msg.addr);
-    if (!applyTransition(node, at_home, now, msg, res, lb))
-        return;
-
-    GoldenLine *g = find(lb);
+    GoldenLine *g = applyTransition(node, at_home, now, msg, res, lb);
     if (g == nullptr)
         return;
     if (at_home)
         checkDirectory(now, node, lb, *g);
-    checkCaches(now, node, lb, *g, /*quiesced=*/false);
+    checkCaches(now, node, lb, *g, g->held, /*quiesced=*/false);
 }
 
-bool
+CoherenceOracle::GoldenLine *
 CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
                                  const Message &msg,
                                  const HandlerResult &res, Addr lb)
@@ -103,12 +214,8 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
       case HandlerId::FetchOpService:
       case HandlerId::FetchOpAck:
       case HandlerId::FwdToHome:
-        return false;
-      default:
-        break;
-    }
+        return nullptr;
 
-    switch (res.id) {
       case HandlerId::ServeReadMemory: {
         GoldenLine &g = line(lb);
         if (g.truthDirty) {
@@ -121,14 +228,15 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
                      std::to_string(g.memEpoch) + " but latest is " +
                      std::to_string(g.writeEpoch));
         }
-        if (g.mirrorCount[msg.requester] != 0 && !allowHintAnomalies_) {
+        if ((g.mirrorSharers & bit(msg.requester)) != 0 &&
+            !allowHintAnomalies_) {
             fail(now, node, lb, "dup-sharer",
                  "requester " + std::to_string(msg.requester) +
                      " already on the sharer list when its GET arrived");
         }
-        ++g.mirrorCount[msg.requester];
+        addMirror(g, lb, msg.requester);
         g.truthSharers |= bit(msg.requester);
-        break;
+        return &g;
       }
 
       case HandlerId::ServeWriteMemory: {
@@ -143,25 +251,22 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
                      std::to_string(g.memEpoch) + " but latest is " +
                      std::to_string(g.writeEpoch));
         }
-        for (NodeId s = 0; s < static_cast<NodeId>(w_.numNodes); ++s) {
-            if (g.mirrorCount[s] == 0 || s == msg.requester)
-                continue;
-            // The home's own copy is invalidated synchronously inside
-            // the handler; remote sharers have an inval in flight.
-            // Either way the sharer may have evicted already, with its
-            // replacement hint still crossing the mesh toward us.
-            g.hintDebt |= bit(s);
-            if (s != node)
-                g.invalPending |= bit(s);
-        }
-        std::fill(g.mirrorCount.begin(), g.mirrorCount.end(), 0);
+        // Every listed sharer but the requester is invalidated. The
+        // home's own copy goes synchronously inside the handler; remote
+        // sharers have an inval in flight. Either way the sharer may
+        // have evicted already, with its replacement hint still
+        // crossing the mesh toward us.
+        const std::uint64_t others = g.mirrorSharers & ~bit(msg.requester);
+        g.hintDebt |= others;
+        g.invalPending |= others & ~bit(node);
+        clearMirror(g, lb);
         g.truthSharers = 0;
         g.mirrorDirty = true;
         g.mirrorOwner = msg.requester;
         g.truthDirty = true;
         g.truthOwner = msg.requester;
         ++g.writeEpoch;
-        break;
+        return &g;
       }
 
       case HandlerId::RetrieveFromCache: {
@@ -183,10 +288,10 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
                 g.memEpoch = g.writeEpoch;
                 g.mirrorDirty = false;
                 g.mirrorOwner = kInvalidNode;
-                std::fill(g.mirrorCount.begin(), g.mirrorCount.end(), 0);
-                ++g.mirrorCount[node];
+                clearMirror(g, lb);
+                addMirror(g, lb, node);
                 if (msg.requester != node)
-                    ++g.mirrorCount[msg.requester];
+                    addMirror(g, lb, msg.requester);
             } else {
                 g.swbInFlight = true;
             }
@@ -198,7 +303,7 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
             if (at_home)
                 g.mirrorOwner = msg.requester;
         }
-        break;
+        return &g;
       }
 
       case HandlerId::LocalWriteback:
@@ -214,7 +319,7 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
             g.mirrorDirty = false;
             g.mirrorOwner = kInvalidNode;
         }
-        break;
+        return &g;
       }
 
       case HandlerId::LocalHint:
@@ -222,8 +327,8 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
       case HandlerId::RemoteHintNth: {
         GoldenLine &g = line(lb);
         const NodeId src = msg.src;
-        if (g.mirrorCount[src] > 0) {
-            if (--g.mirrorCount[src] == 0)
+        if ((g.mirrorSharers & bit(src)) != 0) {
+            if (dropMirror(g, lb, src))
                 g.truthSharers &= ~bit(src);
         } else if ((g.hintDebt & bit(src)) != 0) {
             // The hint crossed the invalidation from a later exclusive
@@ -236,40 +341,40 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
                  "replacement hint from node " + std::to_string(src) +
                      " which is not on the golden sharer list");
         }
-        break;
+        return &g;
       }
 
       case HandlerId::SwbReceive: {
         GoldenLine &g = line(lb);
         g.mirrorDirty = false;
         g.mirrorOwner = kInvalidNode;
-        ++g.mirrorCount[msg.src];
+        addMirror(g, lb, msg.src);
         if (msg.requester != msg.src)
-            ++g.mirrorCount[msg.requester];
+            addMirror(g, lb, msg.requester);
         if (g.swbInFlight) {
             g.memEpoch = g.writeEpoch;
             g.swbInFlight = false;
         }
-        break;
+        return &g;
       }
 
       case HandlerId::OwnXferReceive: {
         GoldenLine &g = line(lb);
         g.mirrorDirty = true;
         g.mirrorOwner = msg.requester;
-        break;
+        return &g;
       }
 
       case HandlerId::InvalReceive: {
         GoldenLine &g = line(lb);
         g.invalPending &= ~bit(node);
-        break;
+        return &g;
       }
 
       case HandlerId::ReplyToProc: {
         GoldenLine *g = find(lb);
         if (g == nullptr)
-            break;
+            return nullptr;
         if (msg.type == MsgType::NetPutx && g->truthOwner != msg.requester) {
             fail(now, node, lb, "putx-not-owner",
                  "exclusive reply delivered to node " +
@@ -285,7 +390,7 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
                      std::to_string(msg.requester) +
                      " which is not an entitled sharer");
         }
-        break;
+        return g;
       }
 
       // NACKs and acks change no golden state.
@@ -293,19 +398,17 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
       case HandlerId::NackReceive:
       case HandlerId::InvalAck:
       case HandlerId::FwdHomeToDirty:
-        break;
-
       default:
-        break;
+        return find(lb);
     }
-    return true;
 }
 
 void
 CoherenceOracle::checkDirectory(Tick now, NodeId home, Addr line_base,
                                 const GoldenLine &g)
 {
-    DirHeader h = w_.header(home, line_base);
+    const protocol::DirectoryStore &dir = *w_.directories[home];
+    DirHeader h = dir.header(line_base);
     if (h.dirty != g.mirrorDirty) {
         fail(now, home, line_base, "dir-mismatch",
              std::string("directory dirty bit is ") +
@@ -320,26 +423,41 @@ CoherenceOracle::checkDirectory(Tick now, NodeId home, Addr line_base,
                  std::to_string(g.mirrorOwner));
         return;
     }
-    std::vector<NodeId> list = w_.sharers(home, line_base);
-    std::vector<std::uint16_t> want = g.mirrorCount;
-    for (NodeId s : list) {
-        if (s >= static_cast<NodeId>(w_.numNodes) || want[s] == 0) {
-            fail(now, home, line_base, "dir-mismatch",
-                 "directory sharer list contains node " +
-                     std::to_string(s) +
-                     " not in the golden mirror (list size " +
-                     std::to_string(list.size()) + ")");
-            return;
-        }
-        --want[s];
+    // Walk the list in place against the mirror's per-node counts.
+    std::array<std::uint16_t, 64> want{};
+    for (std::uint64_t m = g.mirrorSharers; m != 0; m &= m - 1) {
+        const NodeId s = lowest(m);
+        want[s] = static_cast<std::uint16_t>(mirrorCount(g, line_base, s));
     }
-    for (NodeId s = 0; s < static_cast<NodeId>(w_.numNodes); ++s) {
+    const NodeId nodes = static_cast<NodeId>(w_.numNodes);
+    std::size_t listed = 0;
+    NodeId stray = kInvalidNode;
+    dir.forEachSharer(line_base, [&](NodeId s) {
+        ++listed;
+        if (stray != kInvalidNode)
+            return;
+        if (s >= nodes || want[s] == 0)
+            stray = s;
+        else
+            --want[s];
+    });
+    if (stray != kInvalidNode) {
+        fail(now, home, line_base, "dir-mismatch",
+             "directory sharer list contains node " +
+                 std::to_string(stray) +
+                 " not in the golden mirror (list size " +
+                 std::to_string(listed) + ")");
+        return;
+    }
+    for (std::uint64_t m = g.mirrorSharers; m != 0; m &= m - 1) {
+        const NodeId s = lowest(m);
         if (want[s] != 0) {
+            const unsigned have = mirrorCount(g, line_base, s);
             fail(now, home, line_base, "dir-mismatch",
                  "directory sharer list is missing node " +
                      std::to_string(s) + " (golden mirror has it " +
-                     std::to_string(g.mirrorCount[s]) + "x, list has it " +
-                     std::to_string(g.mirrorCount[s] - want[s]) + "x)");
+                     std::to_string(have) + "x, list has it " +
+                     std::to_string(have - want[s]) + "x)");
             return;
         }
     }
@@ -347,13 +465,20 @@ CoherenceOracle::checkDirectory(Tick now, NodeId home, Addr line_base,
 
 void
 CoherenceOracle::checkCaches(Tick now, NodeId node, Addr line_base,
-                             const GoldenLine &g, bool quiesced)
+                             const GoldenLine &g, const Holders &h,
+                             bool quiesced)
 {
+    std::uint64_t allowed = g.truthSharers;
+    if (!quiesced) {
+        allowed |= g.invalPending;
+        if (g.truthDirty && g.truthOwner != kInvalidNode)
+            allowed |= bit(g.truthOwner); // upgrade in flight
+    }
     int exclusive = 0;
     NodeId holder = kInvalidNode;
-    for (NodeId n = 0; n < static_cast<NodeId>(w_.numNodes); ++n) {
-        int st = w_.cacheState(n, line_base);
-        if (st == 2) {
+    for (std::uint64_t m = h.shared | h.exclusive; m != 0; m &= m - 1) {
+        const NodeId n = lowest(m);
+        if ((h.exclusive & bit(n)) != 0) {
             ++exclusive;
             holder = n;
             if (exclusive > 1) {
@@ -361,19 +486,11 @@ CoherenceOracle::checkCaches(Tick now, NodeId node, Addr line_base,
                      "more than one cache holds the line Exclusive");
                 return;
             }
-        } else if (st == 1) {
-            std::uint64_t allowed = g.truthSharers;
-            if (!quiesced) {
-                allowed |= g.invalPending;
-                if (g.truthDirty && g.truthOwner != kInvalidNode)
-                    allowed |= bit(g.truthOwner); // upgrade in flight
-            }
-            if ((allowed & bit(n)) == 0) {
-                fail(now, node, line_base, "rogue-sharer",
-                     "node " + std::to_string(n) +
-                         " holds a Shared copy without being an entitled "
-                         "sharer or having an invalidation in flight");
-            }
+        } else if ((allowed & bit(n)) == 0) {
+            fail(now, node, line_base, "rogue-sharer",
+                 "node " + std::to_string(n) +
+                     " holds a Shared copy without being an entitled "
+                     "sharer or having an invalidation in flight");
         }
     }
     if (exclusive == 1) {
@@ -408,30 +525,47 @@ CoherenceOracle::checkCaches(Tick now, NodeId node, Addr line_base,
 void
 CoherenceOracle::finalCheck(Tick now)
 {
-    std::vector<Addr> addrs;
-    addrs.reserve(lines_.size());
-    for (const auto &[a, g] : lines_)
-        addrs.push_back(a);
-    std::sort(addrs.begin(), addrs.end());
-    for (Addr a : addrs) {
-        GoldenLine &g = lines_[a];
-        if (g.invalPending != 0) {
-            fail(now, 0, a, "stuck-inval",
-                 "quiesced machine: invalidations still marked in flight "
-                 "(mask 0x" + [&] {
-                     std::ostringstream os;
-                     os << std::hex << g.invalPending;
-                     return os.str();
-                 }() + ")");
+    // Pages in address order; lines within a page are consecutive.
+    std::vector<std::pair<std::uint64_t, Counter>> pages(pageSlot_.begin(),
+                                                         pageSlot_.end());
+    std::sort(pages.begin(), pages.end());
+    for (const auto &[page, slot] : pages) {
+        for (std::uint64_t i = 0; i < kPageLines; ++i) {
+            const GoldenLine &g = pages_[slot - 1][i];
+            if (!g.tracked)
+                continue;
+            const Addr a = ((page << kPageShift) + i) * kLineSize;
+            if (g.invalPending != 0) {
+                fail(now, 0, a, "stuck-inval",
+                     "quiesced machine: invalidations still marked in "
+                     "flight (mask " + hexMask(g.invalPending) + ")");
+            }
+            if (g.swbInFlight) {
+                fail(now, 0, a, "stuck-swb",
+                     "quiesced machine: sharing writeback never arrived "
+                     "at the home node");
+            }
+            NodeId home = w_.homeOf(a);
+            checkDirectory(now, home, a, g);
+            // Probe every cache, then hold the index to the probe.
+            Holders probed;
+            for (NodeId n = 0; n < static_cast<NodeId>(w_.numNodes); ++n) {
+                const int st = w_.cacheState(n, a);
+                if (st == 1)
+                    probed.shared |= bit(n);
+                else if (st == 2)
+                    probed.exclusive |= bit(n);
+            }
+            if (probed != g.held) {
+                fail(now, home, a, "holder-index",
+                     "holder index has Shared " + hexMask(g.held.shared) +
+                         " Exclusive " + hexMask(g.held.exclusive) +
+                         " but the caches hold Shared " +
+                         hexMask(probed.shared) + " Exclusive " +
+                         hexMask(probed.exclusive));
+            }
+            checkCaches(now, home, a, g, probed, /*quiesced=*/true);
         }
-        if (g.swbInFlight) {
-            fail(now, 0, a, "stuck-swb",
-                 "quiesced machine: sharing writeback never arrived at "
-                 "the home node");
-        }
-        NodeId home = w_.homeOf(a);
-        checkDirectory(now, home, a, g);
-        checkCaches(now, home, a, g, /*quiesced=*/true);
     }
 }
 

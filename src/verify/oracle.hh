@@ -25,6 +25,17 @@
  *    invariants: at most one cache Exclusive and only the truth owner;
  *    any Shared copy held by an entitled or inval-pending node; memory
  *    never serves a line whose latest epoch lives in a cache.
+ *
+ * The cache-side checks read a holder index instead of probing every
+ * cache: each cpu::Cache reports its state changes (Cache::setState)
+ * through the sentinel, and the oracle keeps per line a bitmask of the
+ * nodes holding it Shared and one of those holding it Exclusive. The
+ * quiesced finalCheck probes every cache again for every tracked line
+ * and reports any disagreement with the index.
+ *
+ * Golden records are fixed-size and live in pages of consecutive lines
+ * found through a flat open-addressing table, so neither a handler
+ * check nor a cache-state report allocates once a line's page exists.
  */
 
 #ifndef FLASHSIM_VERIFY_ORACLE_HH_
@@ -32,13 +43,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "protocol/directory.hh"
 #include "protocol/handlers.hh"
 #include "protocol/message.hh"
+#include "sim/flat_table.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -63,10 +75,20 @@ class CoherenceOracle
     {
         int numNodes = 0;
         std::function<NodeId(Addr)> homeOf;
-        std::function<protocol::DirHeader(NodeId home, Addr line)> header;
-        std::function<std::vector<NodeId>(NodeId home, Addr line)> sharers;
-        /** 0 = Invalid, 1 = Shared, 2 = Exclusive. */
+        /** Each node's directory store, indexed by node. */
+        std::vector<const protocol::DirectoryStore *> directories;
+        /** 0 = Invalid, 1 = Shared, 2 = Exclusive. Probed only by
+         *  finalCheck; handler-time checks read the holder index. */
         std::function<int(NodeId node, Addr line)> cacheState;
+    };
+
+    /** Bitmasks (bit n = node n) of the caches holding a line. */
+    struct Holders
+    {
+        std::uint64_t shared = 0;
+        std::uint64_t exclusive = 0;
+
+        bool operator==(const Holders &) const = default;
     };
 
     /**
@@ -81,6 +103,13 @@ class CoherenceOracle
                    const protocol::Message &msg,
                    const protocol::HandlerResult &res);
 
+    /** Node @p node's cache moved @p line to @p state (0 Invalid,
+     *  1 Shared, 2 Exclusive): updates the holder index. */
+    void noteCacheState(NodeId node, Addr line, int state);
+
+    /** The holder index's view of @p line (diagnostics and tests). */
+    Holders holders(Addr line) const;
+
     /** Whole-machine consistency check on a quiesced machine. */
     void finalCheck(Tick now);
 
@@ -92,21 +121,19 @@ class CoherenceOracle
     std::function<void(const Violation &)> onViolation;
 
     /** Lines with golden state (diagnostics). */
-    std::size_t trackedLines() const { return lines_.size(); }
+    std::size_t trackedLines() const { return tracked_; }
 
   private:
+    /** One line's record: golden state plus the holder index. */
     struct GoldenLine
     {
-        // Mirror of the home directory words.
-        bool mirrorDirty = false;
-        NodeId mirrorOwner = kInvalidNode;
-        /** Sharer-list multiset: count per node (dropped hints make
-         *  duplicate directory entries legitimate under injection). */
-        std::vector<std::uint16_t> mirrorCount;
+        // Mirror of the home directory words. The sharer list is a
+        // multiset (dropped hints make duplicate directory entries
+        // legitimate under injection): a bit per node listed at least
+        // once, with any further entries counted in mirrorExtra_.
+        std::uint64_t mirrorSharers = 0;
 
         // Ground truth.
-        bool truthDirty = false;
-        NodeId truthOwner = kInvalidNode;
         std::uint64_t truthSharers = 0; ///< bitmask: entitled Shared
         std::uint64_t invalPending = 0; ///< inval sent, not yet arrived
         /** Sharers cleared by an exclusive grant whose eviction hint
@@ -116,17 +143,54 @@ class CoherenceOracle
         std::uint64_t hintDebt = 0;
         std::uint64_t writeEpoch = 0;
         std::uint64_t memEpoch = 0;
-        bool swbInFlight = false; ///< 3-hop sharing writeback en route
-    };
 
+        // Holder index, kept by the caches' state reports.
+        Holders held;
+
+        NodeId mirrorOwner = kInvalidNode;
+        NodeId truthOwner = kInvalidNode;
+        bool mirrorDirty = false;
+        bool truthDirty = false;
+        bool swbInFlight = false; ///< 3-hop sharing writeback en route
+        /** Some node was listed twice; mirrorExtra_ may hold counts. */
+        bool mirrorDups = false;
+        /** Golden state exists (a handler touched the line); a record
+         *  with only holder bits is not a tracked line. */
+        bool tracked = false;
+    };
+    // One record per touched line stays resident for the whole run.
+    static_assert(sizeof(GoldenLine) <= 80, "keep golden records compact");
+
+    /** Lines per record page (a power of two). */
+    static constexpr unsigned kPageShift = 7;
+    static constexpr std::uint64_t kPageLines = std::uint64_t{1}
+                                                << kPageShift;
+
+    /** @p line_base's record, created (untracked) if absent. */
+    GoldenLine &record(Addr line_base);
+    /** @p line_base's record, or null when its page does not exist. */
+    GoldenLine *findRecord(Addr line_base) const;
+    /** @p line_base's golden state, created if absent. */
     GoldenLine &line(Addr line_base);
+    /** @p line_base's golden state, or null when none exists. */
     GoldenLine *find(Addr line_base);
 
-    /** The golden-state transition for one handler. Returns false
-     *  for traffic that bypasses the directory. */
-    bool applyTransition(NodeId node, bool at_home, Tick now,
-                         const protocol::Message &msg,
-                         const protocol::HandlerResult &res, Addr lb);
+    // The mirror's sharer multiset.
+    unsigned mirrorCount(const GoldenLine &g, Addr line_base,
+                         NodeId n) const;
+    void addMirror(GoldenLine &g, Addr line_base, NodeId n);
+    /** Remove one listing of @p n (which must be listed); true when it
+     *  was the last. */
+    bool dropMirror(GoldenLine &g, Addr line_base, NodeId n);
+    void clearMirror(GoldenLine &g, Addr line_base);
+
+    /** The golden-state transition for one handler. Returns the line's
+     *  golden state to check, or null for traffic that bypasses the
+     *  directory or a line with no golden state. */
+    GoldenLine *applyTransition(NodeId node, bool at_home, Tick now,
+                                const protocol::Message &msg,
+                                const protocol::HandlerResult &res,
+                                Addr lb);
 
     void fail(Tick now, NodeId node, Addr addr, const char *kind,
               std::string detail);
@@ -134,13 +198,20 @@ class CoherenceOracle
     /** Field-for-field directory-vs-mirror compare at the home node. */
     void checkDirectory(Tick now, NodeId home, Addr line_base,
                         const GoldenLine &g);
-    /** Single-writer and sharers-consistent checks across caches. */
+    /** Single-writer and sharers-consistent checks over the caches
+     *  holding the line, in node order. */
     void checkCaches(Tick now, NodeId node, Addr line_base,
-                     const GoldenLine &g, bool quiesced);
+                     const GoldenLine &g, const Holders &h, bool quiesced);
 
     Wiring w_;
     bool allowHintAnomalies_;
-    std::unordered_map<Addr, GoldenLine> lines_;
+    /** Page number (line number >> kPageShift) -> 1 + index in pages_. */
+    FlatCounterMap pageSlot_;
+    std::vector<std::unique_ptr<GoldenLine[]>> pages_;
+    /** Mirror listings beyond the first, keyed by dupKey(line, node);
+     *  only touched for lines with mirrorDups set. */
+    FlatCounterMap mirrorExtra_;
+    std::size_t tracked_ = 0;
     Counter violationCount_ = 0;
     std::vector<Violation> log_;
     static constexpr std::size_t kLogCap = 100;

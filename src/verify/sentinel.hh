@@ -56,6 +56,15 @@ class Sentinel
                         const protocol::Message &msg,
                         const protocol::HandlerResult &res);
 
+    /** Node @p node's cache moved @p line to @p state (0 Invalid,
+     *  1 Shared, 2 Exclusive): feeds the oracle's holder index. */
+    void
+    cacheStateChanged(NodeId node, Addr line, int state)
+    {
+        if (oracle_)
+            oracle_->noteCacheState(node, line, state);
+    }
+
     /** An injector action happened at @p node (trace only). */
     void recordInjected(NodeId node, Tick now, const protocol::Message &msg,
                         TraceEntry::Kind kind);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -18,10 +19,27 @@ Watchdog::Watchdog(EventQueue &eq, const VerifyParams &params)
         fatal("Watchdog: watchdogInterval must be nonzero");
 }
 
+Watchdog::Txn *
+Watchdog::findTxn(NodeId node, Addr addr)
+{
+    if (node >= txns_.size())
+        return nullptr;
+    const std::uint64_t line = lineNumber(addr);
+    for (Txn &t : txns_[node])
+        if (t.line == line)
+            return &t;
+    return nullptr;
+}
+
 void
 Watchdog::txnStart(NodeId node, Addr addr)
 {
-    txns_.emplace(key(node, addr), eq_.now());
+    if (findTxn(node, addr) == nullptr) {
+        if (node >= txns_.size())
+            txns_.resize(static_cast<std::size_t>(node) + 1);
+        txns_[node].push_back({lineNumber(addr), eq_.now()});
+        ++outstanding_;
+    }
     if (!armed_)
         arm();
 }
@@ -29,7 +47,12 @@ Watchdog::txnStart(NodeId node, Addr addr)
 void
 Watchdog::txnRetire(NodeId node, Addr addr)
 {
-    txns_.erase(key(node, addr));
+    if (Txn *t = findTxn(node, addr)) {
+        std::vector<Txn> &v = txns_[node];
+        *t = v.back();
+        v.pop_back();
+        --outstanding_;
+    }
     ++retired_;
     lastProgress_ = eq_.now();
 }
@@ -37,10 +60,10 @@ Watchdog::txnRetire(NodeId node, Addr addr)
 void
 Watchdog::txnRetry(NodeId node, Addr addr)
 {
-    auto it = txns_.find(key(node, addr));
-    if (it == txns_.end())
+    Txn *t = findTxn(node, addr);
+    if (t == nullptr)
         return; // raced with completion; nothing to re-age
-    it->second = eq_.now();
+    t->start = eq_.now();
     lastProgress_ = eq_.now();
 }
 
@@ -58,7 +81,7 @@ Watchdog::check(std::uint64_t gen)
 {
     if (gen != gen_)
         return; // disarmed since this check was scheduled
-    if (txns_.empty()) {
+    if (outstanding_ == 0) {
         // Quiesced: stop rescheduling so the event queue can drain.
         armed_ = false;
         ++gen_;
@@ -67,24 +90,26 @@ Watchdog::check(std::uint64_t gen)
 
     const Tick now = eq_.now();
 
-    std::uint64_t oldestKey = 0;
+    NodeId oldestNode = 0;
+    std::uint64_t oldestLine = 0;
     Tick oldestStart = ~Tick{0};
-    for (const auto &[k, start] : txns_) {
-        if (start < oldestStart) {
-            oldestStart = start;
-            oldestKey = k;
+    for (std::size_t n = 0; n < txns_.size(); ++n) {
+        for (const Txn &t : txns_[n]) {
+            if (t.start < oldestStart) {
+                oldestStart = t.start;
+                oldestNode = static_cast<NodeId>(n);
+                oldestLine = t.line;
+            }
         }
     }
     if (now - oldestStart > maxAge_) {
-        trip("transaction from node " +
-             std::to_string(oldestKey >> 48) + " for line 0x" +
+        trip("transaction from node " + std::to_string(oldestNode) +
+             " for line 0x" +
              [&] {
                  char buf[32];
                  std::snprintf(buf, sizeof(buf), "%llx",
                                static_cast<unsigned long long>(
-                                   (oldestKey & ((std::uint64_t{1} << 48) -
-                                                 1)) *
-                                   kLineSize));
+                                   oldestLine * kLineSize));
                  return std::string(buf);
              }() +
              " outstanding for " + std::to_string(now - oldestStart) +
@@ -94,7 +119,7 @@ Watchdog::check(std::uint64_t gen)
     if (now - lastProgress_ > noProgressWindow_) {
         trip("no transaction retired for " +
              std::to_string(now - lastProgress_) + " cycles with " +
-             std::to_string(txns_.size()) +
+             std::to_string(outstanding_) +
              " outstanding (NACK livelock or deadlock)");
         return;
     }
@@ -120,23 +145,22 @@ void
 Watchdog::writeStatus(std::ostream &os) const
 {
     const Tick now = eq_.now();
-    os << "watchdog: " << txns_.size() << " transaction(s) outstanding, "
+    os << "watchdog: " << outstanding_ << " transaction(s) outstanding, "
        << retired_ << " retired, last progress at t=" << lastProgress_
        << " (now t=" << now << ")\n";
 
-    std::vector<std::pair<std::uint64_t, Tick>> v(txns_.begin(),
-                                                  txns_.end());
-    std::sort(v.begin(), v.end(), [](const auto &a, const auto &b) {
-        if (a.second != b.second)
-            return a.second < b.second;
-        return a.first < b.first;
-    });
+    // Oldest first; ties by node, then line.
+    std::vector<std::tuple<Tick, std::size_t, std::uint64_t>> v;
+    for (std::size_t n = 0; n < txns_.size(); ++n)
+        for (const Txn &t : txns_[n])
+            v.emplace_back(t.start, n, t.line);
+    std::sort(v.begin(), v.end());
     const std::size_t shown = std::min<std::size_t>(v.size(), 16);
     for (std::size_t i = 0; i < shown; ++i) {
-        const auto &[k, start] = v[i];
-        os << "  node " << (k >> 48) << " line 0x" << std::hex
-           << ((k & ((std::uint64_t{1} << 48) - 1)) * kLineSize)
-           << std::dec << " age " << (now - start) << "\n";
+        const auto &[start, node, line] = v[i];
+        os << "  node " << node << " line 0x" << std::hex
+           << (line * kLineSize) << std::dec << " age " << (now - start)
+           << "\n";
     }
     if (v.size() > shown)
         os << "  ... and " << (v.size() - shown) << " more\n";

@@ -28,7 +28,7 @@
 #include <functional>
 #include <ostream>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -57,7 +57,7 @@ class Watchdog
 
     Counter trips() const { return trips_; }
     Counter retired() const { return retired_; }
-    std::size_t outstanding() const { return txns_.size(); }
+    std::size_t outstanding() const { return outstanding_; }
 
     /** Called once per trip with a human-readable reason; the policy
      *  (post-mortem dump, fatal()) lives in the Sentinel. */
@@ -67,11 +67,15 @@ class Watchdog
     void writeStatus(std::ostream &os) const;
 
   private:
-    static std::uint64_t
-    key(NodeId node, Addr addr)
+    /** One outstanding transaction of a node. */
+    struct Txn
     {
-        return (static_cast<std::uint64_t>(node) << 48) | lineNumber(addr);
-    }
+        std::uint64_t line; ///< line number
+        Tick start;
+    };
+
+    /** @p node's transaction for @p addr's line, or null. */
+    Txn *findTxn(NodeId node, Addr addr);
 
     void arm();
     void check(std::uint64_t gen);
@@ -82,8 +86,11 @@ class Watchdog
     Cycles maxAge_;
     Cycles noProgressWindow_;
 
-    /** key -> start tick. */
-    std::unordered_map<std::uint64_t, Tick> txns_;
+    /** Outstanding transactions per node. A node has at most one per
+     *  MSHR, so a lookup scans a few entries, and the vectors keep
+     *  their capacity: steady state never allocates. */
+    std::vector<std::vector<Txn>> txns_;
+    std::size_t outstanding_ = 0;
     Tick lastProgress_ = 0;
     bool armed_ = false;
     /** Bumped on disarm so already-scheduled checks become no-ops. */

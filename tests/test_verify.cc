@@ -10,9 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "apps/radix.hh"
+#include "cpu/cache.hh"
 #include "machine/machine.hh"
 #include "sim/logging.hh"
 #include "verify/oracle.hh"
@@ -184,16 +188,14 @@ TEST(OracleTest, CatchesCorruptedOwnerInBrokenHandler)
 
 TEST(OracleTest, HintCrossingInvalidationIsForgivenOnce)
 {
-    // A stubbed home directory, set before each handler to the state
+    // A standalone home directory, set before each handler to the state
     // that handler leaves behind, so the oracle's cross-checks pass and
     // only the hint bookkeeping is under test. Every cache is Invalid.
-    protocol::DirHeader dir;
-    std::vector<NodeId> sharers;
+    protocol::DirectoryStore dir;
     verify::CoherenceOracle::Wiring w;
     w.numNodes = 4;
     w.homeOf = [](Addr) { return NodeId{0}; };
-    w.header = [&dir](NodeId, Addr) { return dir; };
-    w.sharers = [&sharers](NodeId, Addr) { return sharers; };
+    w.directories.assign(4, &dir);
     w.cacheState = [](NodeId, Addr) { return 0; };
     verify::CoherenceOracle oracle(std::move(w),
                                    /*allow_hint_anomalies=*/false);
@@ -211,13 +213,15 @@ TEST(OracleTest, HintCrossingInvalidationIsForgivenOnce)
     };
 
     // Node 1 reads: it becomes a golden sharer.
-    sharers = {1};
+    dir.addSharer(line, 1);
     feed(HandlerId::ServeReadMemory, protocol::MsgType::NetGet, 1);
     // Node 2 writes: the sharer list is cleared and an inval races
     // toward node 1 -- whose eviction hint may already be in flight.
-    dir.dirty = true;
-    dir.owner = 2;
-    sharers.clear();
+    dir.clearSharers(line);
+    protocol::DirHeader h = dir.header(line);
+    h.dirty = true;
+    h.owner = 2;
+    dir.setHeader(line, h);
     feed(HandlerId::ServeWriteMemory, protocol::MsgType::NetGetx, 2);
     EXPECT_EQ(oracle.violations(), 0u);
 
@@ -230,6 +234,221 @@ TEST(OracleTest, HintCrossingInvalidationIsForgivenOnce)
     EXPECT_EQ(oracle.violations(), 1u);
     ASSERT_FALSE(oracle.violationLog().empty());
     EXPECT_EQ(oracle.violationLog().back().kind, "hint-underflow");
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the cache-side checks fire. Each test forges, from the test
+// mutator, one cache state the protocol never produces -- a fill no
+// request asked for, or an owner that silently dropped its line -- and
+// asserts the first violation's kind and blame.
+
+/** verifyConfig with transaction timeouts armed (far beyond the run),
+ *  so a forged fill that finds no MSHR installs as a late fill instead
+ *  of panicking. */
+MachineConfig
+forgeConfig(int procs)
+{
+    MachineConfig cfg = verifyConfig(procs);
+    cfg.magic.txnRetryTimeout = 1000000;
+    return cfg;
+}
+
+/** Deliver to @p node's cache a fill of @p line it never asked for. */
+void
+forgeFill(Machine &m, NodeId node, Addr line, bool exclusive)
+{
+    Message f;
+    f.type = exclusive ? protocol::MsgType::PiPutx
+                       : protocol::MsgType::PiPut;
+    f.src = node;
+    f.dest = node;
+    f.requester = node;
+    f.addr = line;
+    m.node(node).cache().deliver(f);
+}
+
+/** Run @p body on @p m, calling @p forge once, after the first @p at
+ *  handler for @p line; returns the oracle's violation log. */
+std::vector<verify::Violation>
+runForged(Machine &m, HandlerId at, Addr line,
+          const std::function<void()> &forge, const Workload &body)
+{
+    bool fired = false;
+    m.sentinel()->testMutator = [&](NodeId, const Message &msg,
+                                    HandlerResult &res) {
+        if (fired || res.id != at || lineBase(msg.addr) != lineBase(line))
+            return;
+        fired = true;
+        forge();
+    };
+    m.run(body);
+    m.drain();
+    m.sentinel()->testMutator = nullptr;
+    EXPECT_TRUE(fired);
+    return m.sentinel()->oracle()->violationLog();
+}
+
+TEST(OracleTest, CatchesRogueSharer)
+{
+    // Node 1 reads; node 2 acquires a Shared copy out of thin air.
+    Machine m(forgeConfig(3));
+    const Addr a = m.alloc(kLineSize, 0);
+    auto log = runForged(
+        m, HandlerId::ServeReadMemory, a,
+        [&] { forgeFill(m, 2, a, /*exclusive=*/false); },
+        [=](tango::Env &env) -> tango::Task {
+            co_await env.busy(0);
+            if (env.id() == 1)
+                co_await env.read(a);
+        });
+    ASSERT_FALSE(log.empty());
+    EXPECT_EQ(log[0].kind, "rogue-sharer");
+    EXPECT_EQ(log[0].node, 0u);
+    EXPECT_EQ(log[0].addr, lineBase(a));
+}
+
+TEST(OracleTest, CatchesRogueWriter)
+{
+    // Node 1 reads; node 2 acquires an Exclusive copy of a clean line.
+    Machine m(forgeConfig(3));
+    const Addr a = m.alloc(kLineSize, 0);
+    auto log = runForged(
+        m, HandlerId::ServeReadMemory, a,
+        [&] { forgeFill(m, 2, a, /*exclusive=*/true); },
+        [=](tango::Env &env) -> tango::Task {
+            co_await env.busy(0);
+            if (env.id() == 1)
+                co_await env.read(a);
+        });
+    ASSERT_FALSE(log.empty());
+    EXPECT_EQ(log[0].kind, "rogue-writer");
+    EXPECT_EQ(log[0].node, 0u);
+    EXPECT_EQ(log[0].addr, lineBase(a));
+}
+
+TEST(OracleTest, CatchesWrongOwner)
+{
+    // Node 1 is granted the line exclusively; node 2 ends up with it.
+    Machine m(forgeConfig(3));
+    const Addr a = m.alloc(kLineSize, 0);
+    auto log = runForged(
+        m, HandlerId::ServeWriteMemory, a,
+        [&] { forgeFill(m, 2, a, /*exclusive=*/true); },
+        [=](tango::Env &env) -> tango::Task {
+            co_await env.busy(0);
+            if (env.id() == 1)
+                co_await env.write(a);
+        });
+    ASSERT_FALSE(log.empty());
+    EXPECT_EQ(log[0].kind, "wrong-owner");
+    EXPECT_EQ(log[0].node, 0u);
+    EXPECT_EQ(log[0].addr, lineBase(a));
+}
+
+TEST(OracleTest, CatchesMultipleWriters)
+{
+    // Node 1 owns the line dirty; when node 2's read reaches the home
+    // (forwarded to the owner), node 3 holds it Exclusive as well.
+    Machine m(forgeConfig(4));
+    const Addr a = m.alloc(kLineSize, 0);
+    auto log = runForged(
+        m, HandlerId::FwdHomeToDirty, a,
+        [&] { forgeFill(m, 3, a, /*exclusive=*/true); },
+        [=](tango::Env &env) -> tango::Task {
+            co_await env.busy(0);
+            if (env.id() == 1) {
+                co_await env.write(a);
+                co_await env.read(a); // waits for the exclusive fill
+            } else if (env.id() == 2) {
+                co_await env.busy(20000);
+                co_await env.read(a);
+            }
+        });
+    ASSERT_FALSE(log.empty());
+    EXPECT_EQ(log[0].kind, "multi-writer");
+    EXPECT_EQ(log[0].node, 0u);
+    EXPECT_EQ(log[0].addr, lineBase(a));
+}
+
+TEST(OracleTest, CatchesLostOwnerAtQuiescence)
+{
+    // Node 1 owns line a dirty, then drops it without a writeback (its
+    // copy is invalidated behind the protocol's back while it writes
+    // line b). No handler touches a again, so the quiesced final check
+    // is what finds the dirty line with no owner.
+    Machine m(forgeConfig(2));
+    const Addr a = m.alloc(2 * kLineSize, 0);
+    const Addr b = a + kLineSize;
+    auto log = runForged(
+        m, HandlerId::ServeWriteMemory, b,
+        [&] { m.node(1).cache().invalidate(a); },
+        [=](tango::Env &env) -> tango::Task {
+            co_await env.busy(0);
+            if (env.id() == 1) {
+                co_await env.write(a);
+                co_await env.read(a); // waits for the exclusive fill
+                co_await env.write(b);
+            }
+        });
+    ASSERT_FALSE(log.empty());
+    EXPECT_EQ(log[0].kind, "lost-owner");
+    EXPECT_EQ(log[0].node, 0u);
+    EXPECT_EQ(log[0].addr, lineBase(a));
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the holder index the caches keep equals a full probe of every
+// cache, at every handler of a real workload.
+
+TEST(OracleTest, HolderIndexMatchesCacheProbeAfterEveryHandler)
+{
+    // A small radix sort on 8 nodes with 16 KB caches: fills, upgrades,
+    // invalidations, downgrades and evictions of both clean and dirty
+    // lines all change cache state.
+    MachineConfig cfg = verifyConfig(8);
+    cfg.cache.sizeBytes = 16u * 1024u;
+    Machine m(cfg);
+    apps::RadixParams p;
+    p.keys = 1 << 11;
+    apps::Radix radix(p);
+    radix.setup(m);
+
+    std::uint64_t checked = 0, mismatches = 0;
+    m.sentinel()->testMutator = [&](NodeId, const Message &msg,
+                                    HandlerResult &) {
+        const Addr line = lineBase(msg.addr);
+        verify::CoherenceOracle::Holders probe;
+        for (int n = 0; n < m.numProcs(); ++n) {
+            switch (m.node(static_cast<NodeId>(n)).cache().state(line)) {
+              case cpu::Cache::State::Shared:
+                probe.shared |= std::uint64_t{1} << n;
+                break;
+              case cpu::Cache::State::Exclusive:
+                probe.exclusive |= std::uint64_t{1} << n;
+                break;
+              case cpu::Cache::State::Invalid:
+                break;
+            }
+        }
+        ++checked;
+        if (probe != m.sentinel()->oracle()->holders(line))
+            ++mismatches;
+    };
+    m.run(radix.body());
+    m.drain();
+    m.sentinel()->testMutator = nullptr;
+
+    EXPECT_GT(checked, 10000u);
+    EXPECT_EQ(mismatches, 0u);
+    // The quiesced final check probed every tracked line as well.
+    EXPECT_EQ(m.sentinel()->violations(), 0u);
+    Counter writebacks = 0, hints = 0;
+    for (int n = 0; n < m.numProcs(); ++n) {
+        writebacks += m.node(static_cast<NodeId>(n)).cache().writebacks;
+        hints += m.node(static_cast<NodeId>(n)).cache().replaceHints;
+    }
+    EXPECT_GT(writebacks, 0u);
+    EXPECT_GT(hints, 0u);
 }
 
 // ---------------------------------------------------------------------------
