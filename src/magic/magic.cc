@@ -274,12 +274,17 @@ Magic::runHandler(const Pending &pending)
         ++specIssued;
     }
 
-    const bool cache_dirty = hooks_.cacheHoldsDirty(msg.addr);
+    // Only the PP model reads the processor cache's dirty bit (it is a
+    // handler register); the table model and the ideal machine do not,
+    // so they skip the cache probe unless the line is being traced.
+    const bool trace = traceLine(msg.addr);
+    const bool cache_dirty =
+        (ppModel_ != nullptr || trace) && hooks_.cacheHoldsDirty(msg.addr);
     timing_->preHandler(msg, self_, home, cache_dirty);
     HandlerResult res = engine_.handle(msg);
     HandlerTiming ht = timing_->occupancy(msg, res);
 
-    if (traceLine(msg.addr)) {
+    if (trace) {
         std::fprintf(stderr,
                      "[magic %u t=%llu] %s -> %s occ=%llu out=%zu "
                      "cdirty=%d\n",

@@ -24,59 +24,6 @@ MagicCache::MagicCache(std::uint32_t size_bytes, std::uint32_t assoc,
     ways_.resize(static_cast<std::size_t>(numSets_) * assoc_);
 }
 
-MdcAccess
-MagicCache::access(Addr addr, bool is_write)
-{
-    MdcAccess result;
-    if (is_write)
-        ++writes;
-    else
-        ++reads;
-
-    Addr line = addr >> lineShift_;
-    std::uint32_t set = static_cast<std::uint32_t>(line) & (numSets_ - 1);
-    Addr tag = line >> setShift_;
-    Way *base = &ways_[static_cast<std::size_t>(set) * assoc_];
-
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == tag) {
-            way.lru = ++lruClock_;
-            way.dirty = way.dirty || is_write;
-            return result;
-        }
-    }
-
-    // Miss: fill into the LRU (or an invalid) way.
-    result.hit = false;
-    if (is_write)
-        ++writeMisses;
-    else
-        ++readMisses;
-
-    Way *victim = base;
-    for (std::uint32_t w = 1; w < assoc_; ++w) {
-        Way &way = base[w];
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (!victim->valid)
-            break;
-        if (way.lru < victim->lru)
-            victim = &way;
-    }
-    if (victim->valid && victim->dirty) {
-        result.victimWriteback = true;
-        ++writebacks;
-    }
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->tag = tag;
-    victim->lru = ++lruClock_;
-    return result;
-}
-
 void
 MagicCache::flush()
 {

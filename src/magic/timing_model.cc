@@ -1,24 +1,11 @@
 #include "magic/timing_model.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "ppisa/decode.hh"
-
+#include "ppisa/threaded_exec.hh"
 #include "sim/logging.hh"
-
-namespace
-{
-/** Debug aid: set FS_TRACE_MDC=1 to log every MDC access on stderr. */
-bool
-traceMdc()
-{
-    static const bool on = std::getenv("FS_TRACE_MDC") != nullptr;
-    return on;
-}
-} // namespace
 
 namespace flashsim::magic
 {
@@ -68,46 +55,12 @@ TableTimingModel::occupancy(const protocol::Message &,
     return t;
 }
 
-std::uint64_t
-PpTimingModel::ShadowMemory::load(Addr addr, Cycles &extra)
+Cycles
+runOnShadow(const ppisa::DecodedProgram &d, ppisa::RegFile &regs,
+            ShadowMemory &mem, ppisa::RunStats &stats)
 {
-    MdcAccess a = mdc_.access(addr, false);
-    if (traceMdc())
-        std::fprintf(stderr, "[mdc] ld 0x%llx %s\n",
-                     static_cast<unsigned long long>(addr),
-                     a.hit ? "hit" : "MISS");
-    extra = a.hit ? 0 : missPenalty_;
-    if (!a.hit)
-        ++misses;
-    if (a.victimWriteback)
-        ++writebacks;
-    const std::uint64_t *w = writes_.find(addr);
-    return w != nullptr ? *w : dir_.loadWord(addr);
-}
-
-void
-PpTimingModel::ShadowMemory::store(Addr addr, std::uint64_t value,
-                                   Cycles &extra)
-{
-    MdcAccess a = mdc_.access(addr, true);
-    if (traceMdc())
-        std::fprintf(stderr, "[mdc] sd 0x%llx %s\n",
-                     static_cast<unsigned long long>(addr),
-                     a.hit ? "hit" : "MISS");
-    extra = a.hit ? 0 : missPenalty_;
-    if (!a.hit)
-        ++misses;
-    if (a.victimWriteback)
-        ++writebacks;
-    writes_.put(addr, value);
-}
-
-void
-PpTimingModel::ShadowMemory::reset()
-{
-    writes_.reset();
-    misses = 0;
-    writebacks = 0;
+    ppisa::DiscardSends sends;
+    return ppisa::runThreadedOn(d, regs, mem, sends, stats);
 }
 
 PpTimingModel::PpTimingModel(const protocol::HandlerPrograms &programs,
@@ -115,7 +68,9 @@ PpTimingModel::PpTimingModel(const protocol::HandlerPrograms &programs,
                              const MagicParams &params)
     : programs_(programs), params_(params),
       mdc_(params.mdcBytes, params.mdcAssoc, params.mdcLineBytes),
-      shadow_(dir, mdc_, params.mdcMissPenalty), sim_(params.ppBackend)
+      shadow_(dir, mdc_, params.mdcMissPenalty), sim_(params.ppBackend),
+      direct_(params.ppBackend == ppisa::PpBackend::Threaded &&
+              !ppisa::PpSim::oracleEnabled())
 {
     // Resolve the (type, at_home) -> program mapping once — the handler
     // load point — pre-decoding each program so no dispatch or decode
@@ -152,9 +107,13 @@ PpTimingModel::preHandler(const protocol::Message &msg, NodeId self,
     shadow_.reset();
     ppisa::RegFile regs =
         protocol::makeHandlerRegs(msg, self, home, cache_dirty);
-    sent_.clear();
-    Cycles cycles =
-        sim_.run(*e.prog, *e.decoded, regs, shadow_, sent_, stats_);
+    Cycles cycles;
+    if (direct_) {
+        cycles = runOnShadow(*e.decoded, regs, shadow_, stats_);
+    } else {
+        sent_.clear();
+        cycles = sim_.run(*e.prog, *e.decoded, regs, shadow_, sent_, stats_);
+    }
 
     last_ = HandlerTiming{};
     last_.occupancy = cycles;

@@ -74,7 +74,85 @@ class TableTimingModel : public HandlerTimingModel
     static Cycles cost(protocol::HandlerId id, int param);
 };
 
-/** PPsim-driven timing. */
+/**
+ * The PP's view of protocol memory while a handler is timed: loads read
+ * through to the live directory, stores are buffered for the current
+ * invocation (the authoritative C++ handler makes the real update), and
+ * every access probes the MDC model, charging the miss penalty. Final
+ * with inline members, so the executor instantiated on it (runOnShadow)
+ * folds each access into its kernel; it is still a PpMemory, so the
+ * checked and interpreter paths can run over it through PpSim::run.
+ */
+class ShadowMemory final : public ppisa::PpMemory
+{
+  public:
+    ShadowMemory(const protocol::DirectoryStore &dir, MagicCache &mdc,
+                 Cycles miss_penalty)
+        : dir_(dir), mdc_(mdc), missPenalty_(miss_penalty)
+    {}
+
+    [[gnu::always_inline]] std::uint64_t
+    load(Addr addr, Cycles &extra) override
+    {
+        probe(addr, false, extra);
+        const std::uint64_t *w = writes_.find(addr);
+        return w != nullptr ? *w : dir_.loadWord(addr);
+    }
+
+    [[gnu::always_inline]] void
+    store(Addr addr, std::uint64_t value, Cycles &extra) override
+    {
+        probe(addr, true, extra);
+        writes_.put(addr, value);
+    }
+
+    /** Start a new invocation: drop buffered writes, zero counters. */
+    void
+    reset()
+    {
+        writes_.reset();
+        misses = 0;
+        writebacks = 0;
+    }
+
+    std::uint32_t misses = 0;     ///< MDC misses this invocation
+    std::uint32_t writebacks = 0; ///< dirty MDC victims this invocation
+
+  private:
+    [[gnu::always_inline]] void
+    probe(Addr addr, bool is_write, Cycles &extra)
+    {
+        const MdcAccess a = mdc_.access(addr, is_write);
+        extra = a.hit ? 0 : missPenalty_;
+        if (!a.hit)
+            ++misses;
+        if (a.victimWriteback)
+            ++writebacks;
+    }
+
+    const protocol::DirectoryStore &dir_;
+    MagicCache &mdc_;
+    Cycles missPenalty_;
+    /** Buffered shadow writes for the current invocation; bulk-
+     *  cleared in O(1) by reset() (generation-stamped flat table). */
+    ScratchWordMap writes_;
+};
+
+/**
+ * The threaded PP executor bound statically to ShadowMemory, with the
+ * handler's Sends discarded: PpTimingModel's per-message path. Same
+ * cycles, statistics and memory traffic as PpSim::run over the same
+ * memory with the threaded backend.
+ */
+Cycles runOnShadow(const ppisa::DecodedProgram &d, ppisa::RegFile &regs,
+                   ShadowMemory &mem, ppisa::RunStats &stats);
+
+/**
+ * PPsim-driven timing. With the threaded backend and the PP conformance
+ * oracle off (the default release configuration) each handler runs
+ * through runOnShadow; otherwise — FS_PP_ORACLE=1, or the interpreter
+ * backend — through PpSim::run, which cross-checks or interprets.
+ */
 class PpTimingModel : public HandlerTimingModel
 {
   public:
@@ -95,32 +173,6 @@ class PpTimingModel : public HandlerTimingModel
     MagicCache &mdc() { return mdc_; }
 
   private:
-    /** Shadow memory: reads through to the live directory, buffers
-     *  writes, charges MDC miss penalties. */
-    class ShadowMemory : public ppisa::PpMemory
-    {
-      public:
-        ShadowMemory(const protocol::DirectoryStore &dir, MagicCache &mdc,
-                     Cycles miss_penalty)
-            : dir_(dir), mdc_(mdc), missPenalty_(miss_penalty)
-        {}
-
-        std::uint64_t load(Addr addr, Cycles &extra) override;
-        void store(Addr addr, std::uint64_t value, Cycles &extra) override;
-
-        void reset();
-        std::uint32_t misses = 0;
-        std::uint32_t writebacks = 0;
-
-      private:
-        const protocol::DirectoryStore &dir_;
-        MagicCache &mdc_;
-        Cycles missPenalty_;
-        /** Buffered shadow writes for the current invocation; bulk-
-         *  cleared in O(1) by reset() (generation-stamped flat table). */
-        ScratchWordMap writes_;
-    };
-
     /**
      * One slot of the pre-resolved dispatch table: the handler program
      * for a (message type, at-home) combination, with its instruction
@@ -147,8 +199,11 @@ class PpTimingModel : public HandlerTimingModel
     MagicCache mdc_;
     ShadowMemory shadow_;
     ppisa::PpSim sim_;
+    /** Handlers run through runOnShadow, not PpSim::run (see class). */
+    bool direct_;
     ppisa::RunStats stats_;
-    /** Reused per-invocation Send buffer (no allocation per handler). */
+    /** PpSim::run's Send buffer on the checked/interpreter path (its
+     *  contents are not read; reused, so no allocation per handler). */
     std::vector<ppisa::SentMessage> sent_;
     HandlerTiming last_;
     std::array<std::array<DispatchEntry, 2>, protocol::kNumMsgTypes>

@@ -6,9 +6,9 @@
  * the threaded-code engine in threaded.cc — must agree bit-for-bit on
  * every architectural effect. The generic per-slot executor and the
  * load-delay panic report therefore live here, in one place, so the
- * backends cannot drift: the threaded engine's specialized kernels are
- * each a hand-unrolled copy of exactly one case below, and its generic
- * fallback kernel calls execMicro directly.
+ * backends cannot drift: the threaded engine's specialized kernels
+ * (threaded_exec.hh) are each a hand-unrolled copy of exactly one case
+ * below, and its generic fallback kernel calls execMicro directly.
  */
 
 #ifndef FLASHSIM_PPISA_MICROEXEC_HH_
@@ -35,10 +35,12 @@ struct MicroResult
 
 /** Inlined into both issue slots of the dynamic loops: the call/return
  *  and the by-value MicroResult otherwise cost as much as the typical
- *  one-ALU-op payload. */
+ *  one-ALU-op payload. Typed on the memory and the Send sink like the
+ *  threaded executor (threaded_exec.hh), whose Generic kernel calls it. */
+template <class Mem, class Sends>
 [[gnu::always_inline]] inline MicroResult
-execMicro(const MicroOp &m, RegFile &regs, PpMemory &mem,
-          std::vector<SentMessage> &sent, Cycles &stall)
+execMicro(const MicroOp &m, RegFile &regs, Mem &mem, Sends &sent,
+          Cycles &stall)
 {
     MicroResult r;
     auto rs = [&] { return regs[m.rs]; };

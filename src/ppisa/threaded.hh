@@ -22,6 +22,10 @@
  *    build time and fall-through off the end lands on a sentinel op
  *    that raises the interpreter's exact out-of-range panic.
  *
+ * The executor itself is a template over the memory and Send sink
+ * types in threaded_exec.hh; the declarations below are its PpMemory
+ * and FlatPpMemory instantiations.
+ *
  * Architectural behaviour — register/memory/message effects, cycle
  * charges, statistics, and every contract panic text — is bit-identical
  * to PpSim's interpreter (and therefore to runReference). This is

@@ -38,73 +38,11 @@ EventQueue::netClearLive(Tick when)
 }
 
 void
-EventQueue::scheduleAt(Tick when, Callback cb)
+EventQueue::panicPast(const char *what, Tick when) const
 {
-    if (when < _now)
-        panic("event scheduled in the past (%llu < %llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(_now));
-    if (when - _now < kRingSize) {
-        Bucket &b = bucketFor(when);
-        freshen(b);
-        b.events.push_back(Event{when, nextSeq_++, std::move(cb)});
-        markLive(when);
-        ++ringCount_;
-    } else {
-        overflow_.push_back(Event{when, nextSeq_++, std::move(cb)});
-        std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-    }
-    if (nextCacheValid_ && when < nextCache_)
-        nextCache_ = when;
-}
-
-void
-EventQueue::insertNet(NetEvent e)
-{
-    const Tick when = e.when;
-    NetBucket &b = netRing_[when & kRingMask];
-    if (b.head != 0 && b.head == b.events.size()) {
-        b.events.clear();
-        b.head = 0;
-    }
-    // Keep [head, end) sorted by (src, seq); buckets are small, so a
-    // binary search + vector insert beats a deferred sort.
-    auto pos = std::upper_bound(
-        b.events.begin() + static_cast<std::ptrdiff_t>(b.head),
-        b.events.end(), e, [](const NetEvent &x, const NetEvent &y) {
-            if (x.src != y.src)
-                return x.src < y.src;
-            return x.seq < y.seq;
-        });
-    b.events.insert(pos, std::move(e));
-    netMarkLive(when);
-    ++netCount_;
-}
-
-void
-EventQueue::scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
-                        Callback cb)
-{
-    if (when < _now)
-        panic("net event scheduled in the past (%llu < %llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(_now));
-    if (when == _now) {
-        // Degenerate zero-latency transit: the current tick's network
-        // lane may already have run, so the delivery joins the normal
-        // lane (the same deterministic rule in every mode).
-        scheduleAt(when, std::move(cb));
-        return;
-    }
-    if (when - _now < kRingSize)
-        insertNet(NetEvent{when, src, srcSeq, std::move(cb)});
-    else {
-        netOverflow_.push_back(NetEvent{when, src, srcSeq, std::move(cb)});
-        std::push_heap(netOverflow_.begin(), netOverflow_.end(),
-                       NetLater{});
-    }
-    if (nextCacheValid_ && when < nextCache_)
-        nextCache_ = when;
+    panic("%s scheduled in the past (%llu < %llu)", what,
+          static_cast<unsigned long long>(when),
+          static_cast<unsigned long long>(_now));
 }
 
 EventQueue::TimerId
@@ -293,7 +231,8 @@ EventQueue::promoteNetOverflow(Tick t)
     while (!netOverflow_.empty() && netOverflow_.front().when == t) {
         std::pop_heap(netOverflow_.begin(), netOverflow_.end(),
                       NetLater{});
-        insertNet(std::move(netOverflow_.back()));
+        NetEvent &e = netOverflow_.back();
+        insertNet(e.when, e.src, e.seq, std::move(e.cb));
         netOverflow_.pop_back();
     }
 }
@@ -349,14 +288,15 @@ EventQueue::drainTick(Tick t)
     // Network lane first, in (src, seq) order. A delivery can only
     // schedule normal events at this tick (a nested send's transit is
     // at least one cycle, and the zero-latency fallback joins the
-    // normal lane), so this bucket never grows while draining.
+    // normal lane), so this bucket never grows while draining and its
+    // events run in place.
     NetBucket &nb = netRing_[t & kRingMask];
     if (nb.head < nb.events.size()) {
         while (nb.head < nb.events.size()) {
-            Callback cb = std::move(nb.events[nb.head].cb);
+            NetEvent &e = nb.events[nb.head];
             ++nb.head;
             --netCount_;
-            cb();
+            e.cb();
             ++executed;
         }
         nb.events.clear();
@@ -366,18 +306,30 @@ EventQueue::drainTick(Tick t)
     // Drain the whole tick from its bucket: nothing earlier can
     // appear (zero-delay schedules append to this bucket; overflow
     // inserts land >= kRingSize ticks out), so skip the bitmap
-    // rescan until the tick completes.
+    // rescan until the tick completes. Each round swaps the bucket's
+    // events into running_ and runs them in place there; same-tick
+    // schedules land in the emptied bucket and make another round.
     Bucket &b = bucketFor(t);
     if (b.head < b.events.size()) {
-        while (b.head < b.events.size()) {
-            Callback cb = std::move(b.events[b.head].cb);
-            ++b.head;
-            --ringCount_;
-            cb();
-            ++executed;
-        }
-        b.events.clear();
-        b.head = 0;
+        bool swapped = false;
+        do {
+            running_.swap(b.events);
+            swapped = !swapped;
+            const std::size_t first = b.head;
+            b.head = 0;
+            for (std::size_t i = first; i < running_.size(); ++i) {
+                --ringCount_;
+                running_[i].cb();
+                ++executed;
+            }
+            running_.clear();
+        } while (!b.events.empty());
+        // Both vectors are empty now; after an odd number of swaps the
+        // buffers are exchanged, so trade them back to keep each
+        // bucket's (and the side vector's) warmed capacity where it
+        // is needed.
+        if (swapped)
+            running_.swap(b.events);
         clearLive(t);
     }
     // Tick t is fully consumed; warm the horizon cache while the
@@ -409,6 +361,7 @@ EventQueue::reset()
         b.events.clear();
         b.head = 0;
     }
+    running_.clear();
     live_.fill(0);
     ringCount_ = 0;
     overflow_.clear();

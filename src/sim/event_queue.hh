@@ -15,8 +15,11 @@
 #ifndef FLASHSIM_SIM_EVENT_QUEUE_HH_
 #define FLASHSIM_SIM_EVENT_QUEUE_HH_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_callback.hh"
@@ -47,7 +50,11 @@ namespace flashsim
  *
  * Callbacks are InlineCallback: stored inline in the event, with a
  * compile-time size cap instead of std::function's silent heap fallback
- * — schedule() never allocates once bucket capacity has warmed up.
+ * — schedule() never allocates once bucket capacity has warmed up. The
+ * schedule overloads taking a plain callable construct it directly in
+ * its bucket slot and drainTick() runs it there, so a callable's
+ * captures are written once and read once; the Callback overloads stay
+ * for callers that already hold one (timers, stored retries).
  */
 class EventQueue
 {
@@ -75,8 +82,27 @@ class EventQueue
         scheduleAt(_now + delay, std::move(cb));
     }
 
+    /** Schedule callable @p f @p delay cycles from now, built in place
+     *  in its queue slot (no InlineCallback temporary is moved in). */
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, Callback>)
+    void
+    schedule(Cycles delay, F &&f)
+    {
+        put(_now + delay, std::forward<F>(f));
+    }
+
     /** Schedule @p cb at absolute time @p when (must be >= now()). */
-    void scheduleAt(Tick when, Callback cb);
+    void scheduleAt(Tick when, Callback cb) { put(when, std::move(cb)); }
+
+    /** scheduleAt() for a callable built in place in its queue slot. */
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, Callback>)
+    void
+    scheduleAt(Tick when, F &&f)
+    {
+        put(when, std::forward<F>(f));
+    }
 
     /**
      * Schedule a network-lane delivery at @p when (must be > now();
@@ -86,8 +112,20 @@ class EventQueue
      * that depends on the senders alone, not on the order in which
      * the sends happened to be scheduled.
      */
-    void scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
-                     Callback cb);
+    void
+    scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq, Callback cb)
+    {
+        putNet(when, src, srcSeq, std::move(cb));
+    }
+
+    /** scheduleNet() for a callable built in place in its queue slot. */
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, Callback>)
+    void
+    scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq, F &&f)
+    {
+        putNet(when, src, srcSeq, std::forward<F>(f));
+    }
 
     /** True when no events remain. */
     bool
@@ -119,7 +157,11 @@ class EventQueue
     /**
      * Advance to tick @p t (== nextTick()) and run everything due then:
      * first the network lane in (src, seq) order, then normal events in
-     * FIFO order, including same-tick events they schedule.
+     * FIFO order, including same-tick events they schedule. Events run
+     * in place in their slots: the tick's normal bucket is swapped into
+     * a side vector before its events run, so a same-tick schedule
+     * grows the (now empty) bucket, never the vector holding the
+     * running event.
      * @return number of events executed.
      */
     std::uint64_t drainTick(Tick t);
@@ -187,6 +229,11 @@ class EventQueue
   private:
     struct Event
     {
+        template <typename F>
+        Event(Tick w, std::uint64_t s, F &&f)
+            : when(w), seq(s), cb(std::forward<F>(f))
+        {}
+
         Tick when;
         std::uint64_t seq;
         Callback cb;
@@ -225,6 +272,11 @@ class EventQueue
      */
     struct NetEvent
     {
+        template <typename F>
+        NetEvent(Tick w, NodeId sr, std::uint64_t sq, F &&f)
+            : when(w), src(sr), seq(sq), cb(std::forward<F>(f))
+        {}
+
         Tick when;
         NodeId src;
         std::uint64_t seq;
@@ -286,6 +338,83 @@ class EventQueue
         }
     }
 
+    /** Append @p f (a callable or a Callback) to @p when's bucket, or
+     *  to the overflow heap, constructing the event in place. */
+    template <typename F>
+    void
+    put(Tick when, F &&f)
+    {
+        if (when < _now) [[unlikely]]
+            panicPast("event", when);
+        if (when - _now < kRingSize) {
+            Bucket &b = bucketFor(when);
+            freshen(b);
+            b.events.emplace_back(when, nextSeq_++, std::forward<F>(f));
+            markLive(when);
+            ++ringCount_;
+        } else {
+            overflow_.emplace_back(when, nextSeq_++, std::forward<F>(f));
+            std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+        }
+        if (nextCacheValid_ && when < nextCache_)
+            nextCache_ = when;
+    }
+
+    /** scheduleNet()'s body, constructing the event in place. */
+    template <typename F>
+    void
+    putNet(Tick when, NodeId src, std::uint64_t srcSeq, F &&f)
+    {
+        if (when < _now) [[unlikely]]
+            panicPast("net event", when);
+        if (when == _now) {
+            // Degenerate zero-latency transit: the current tick's network
+            // lane may already have run, so the delivery joins the normal
+            // lane (the same deterministic rule in every mode).
+            put(when, std::forward<F>(f));
+            return;
+        }
+        if (when - _now < kRingSize) {
+            insertNet(when, src, srcSeq, std::forward<F>(f));
+        } else {
+            netOverflow_.emplace_back(when, src, srcSeq, std::forward<F>(f));
+            std::push_heap(netOverflow_.begin(), netOverflow_.end(),
+                           NetLater{});
+        }
+        if (nextCacheValid_ && when < nextCache_)
+            nextCache_ = when;
+    }
+
+    /** Sorted insert into @p when's network bucket: after every live
+     *  event with a smaller-or-equal (src, seq) key. Buckets are small,
+     *  so a binary search + vector insert beats a deferred sort; the
+     *  common in-order send lands at the end, built in place. */
+    template <typename F>
+    void
+    insertNet(Tick when, NodeId src, std::uint64_t seq, F &&f)
+    {
+        NetBucket &b = netRing_[when & kRingMask];
+        if (b.head != 0 && b.head == b.events.size()) {
+            b.events.clear();
+            b.head = 0;
+        }
+        auto pos = std::upper_bound(
+            b.events.begin() + static_cast<std::ptrdiff_t>(b.head),
+            b.events.end(), std::pair{src, seq},
+            [](const std::pair<NodeId, std::uint64_t> &k,
+               const NetEvent &e) {
+                if (k.first != e.src)
+                    return k.first < e.src;
+                return k.second < e.seq;
+            });
+        b.events.emplace(pos, when, src, seq, std::forward<F>(f));
+        netMarkLive(when);
+        ++netCount_;
+    }
+
+    /** Out of line so the inline schedule paths stay small. */
+    [[noreturn]] void panicPast(const char *what, Tick when) const;
+
     /** Recompute the earliest pending tick (bitmap scans + heap
      *  fronts); nextTick() caches the result. */
     Tick computeNextTick() const;
@@ -297,8 +426,6 @@ class EventQueue
     void promoteOverflow(Tick t);
     /** Move network-lane overflow for tick @p t into its bucket. */
     void promoteNetOverflow(Tick t);
-    /** Sorted insert of @p e into its tick's network bucket. */
-    void insertNet(NetEvent e);
     /** Queue the lazy-cancel fire wrapper for timer @p slot. */
     void scheduleTimerFire(std::uint32_t slot, Tick when);
 
@@ -306,6 +433,14 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
 
     std::array<Bucket, kRingSize> ring_{};
+    /**
+     * drainTick()'s side vector: the running tick's events are swapped
+     * in here so same-tick schedules grow the bucket, not this vector,
+     * and every event runs where it was built. Empty between drains;
+     * its storage is swapped back home when a drain ends, so each
+     * buffer keeps its own warmed capacity.
+     */
+    std::vector<Event> running_;
     /** Occupancy bitmap: bit i set iff ring_[i] has unexecuted events. */
     std::array<std::uint64_t, kBitWords> live_{};
     std::size_t ringCount_ = 0;

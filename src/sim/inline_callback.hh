@@ -15,12 +15,19 @@
  * Move-only. Requires the callable to be nothrow-move-constructible so
  * that growing the queue's vectors (which moves events) cannot throw
  * mid-move.
+ *
+ * Relocation rule: a trivially copyable callable (every in-tree event
+ * lambda: it captures pointers, ids and Messages) moves by one
+ * fixed-size memcpy of the whole buffer and has no destructor to run,
+ * so its Ops table carries null relocate/destroy entries and no thunk
+ * is called. Anything else keeps the per-type relocate/destroy thunks.
  */
 
 #ifndef FLASHSIM_SIM_INLINE_CALLBACK_HH_
 #define FLASHSIM_SIM_INLINE_CALLBACK_HH_
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -64,7 +71,7 @@ class InlineCallback
     InlineCallback(InlineCallback &&other) noexcept : ops_(other.ops_)
     {
         if (ops_ != nullptr) {
-            ops_->relocate(storage_, other.storage_);
+            relocateFrom(other);
             other.ops_ = nullptr;
         }
     }
@@ -76,7 +83,7 @@ class InlineCallback
             destroy();
             ops_ = other.ops_;
             if (ops_ != nullptr) {
-                ops_->relocate(storage_, other.storage_);
+                relocateFrom(other);
                 other.ops_ = nullptr;
             }
         }
@@ -102,27 +109,45 @@ class InlineCallback
     struct Ops
     {
         void (*invoke)(void *self);
-        /** Move-construct into @p dst from @p src, destroy @p src. */
+        /** Move-construct into @p dst from @p src, destroy @p src.
+         *  Null for trivially copyable callables (memcpy instead). */
         void (*relocate)(void *dst, void *src);
+        /** Null for trivially copyable callables (nothing to run). */
         void (*destroy)(void *self);
     };
 
     template <typename Fn>
+    static constexpr bool kTrivial = std::is_trivially_copyable_v<Fn>;
+
+    template <typename Fn>
     static constexpr Ops opsFor = {
         [](void *self) { (*static_cast<Fn *>(self))(); },
-        [](void *dst, void *src) {
-            Fn *s = static_cast<Fn *>(src);
-            ::new (dst) Fn(std::move(*s));
-            s->~Fn();
-        },
-        [](void *self) { static_cast<Fn *>(self)->~Fn(); },
+        kTrivial<Fn> ? nullptr
+                     : +[](void *dst, void *src) {
+                           Fn *s = static_cast<Fn *>(src);
+                           ::new (dst) Fn(std::move(*s));
+                           s->~Fn();
+                       },
+        kTrivial<Fn> ? nullptr
+                     : +[](void *self) { static_cast<Fn *>(self)->~Fn(); },
     };
+
+    /** Take over @p other's callable (ops_ already copied from it). */
+    void
+    relocateFrom(InlineCallback &other)
+    {
+        if (ops_->relocate == nullptr)
+            std::memcpy(storage_, other.storage_, kInlineBytes);
+        else
+            ops_->relocate(storage_, other.storage_);
+    }
 
     void
     destroy()
     {
         if (ops_ != nullptr) {
-            ops_->destroy(storage_);
+            if (ops_->destroy != nullptr)
+                ops_->destroy(storage_);
             ops_ = nullptr;
         }
     }

@@ -236,6 +236,8 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
         }
         addMirror(g, lb, msg.requester);
         g.truthSharers |= bit(msg.requester);
+        if (msg.requester != node)
+            g.replyPending |= bit(msg.requester);
         return &g;
       }
 
@@ -284,6 +286,8 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
             g.truthDirty = false;
             g.truthOwner = kInvalidNode;
             g.truthSharers = bit(node) | bit(msg.requester);
+            if (msg.requester != node)
+                g.replyPending |= bit(msg.requester);
             if (at_home) {
                 g.memEpoch = g.writeEpoch;
                 g.mirrorDirty = false;
@@ -382,13 +386,16 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
                      " but golden owner is " +
                      std::to_string(g->truthOwner));
         }
-        if (msg.type == MsgType::NetPut &&
-            (g->truthSharers & bit(msg.requester)) == 0 &&
-            (g->invalPending & bit(msg.requester)) == 0) {
-            fail(now, node, lb, "put-not-sharer",
-                 "read reply delivered to node " +
-                     std::to_string(msg.requester) +
-                     " which is not an entitled sharer");
+        if (msg.type == MsgType::NetPut) {
+            const std::uint64_t entitled =
+                g->truthSharers | g->invalPending | g->replyPending;
+            if ((entitled & bit(msg.requester)) == 0) {
+                fail(now, node, lb, "put-not-sharer",
+                     "read reply delivered to node " +
+                         std::to_string(msg.requester) +
+                         " which is not an entitled sharer");
+            }
+            g->replyPending &= ~bit(msg.requester);
         }
         return g;
       }

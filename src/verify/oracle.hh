@@ -141,8 +141,17 @@ class CoherenceOracle
          *  the mesh is a benign race (hints are imprecise by design),
          *  forgiven once per invalidation event. */
         std::uint64_t hintDebt = 0;
-        std::uint64_t writeEpoch = 0;
-        std::uint64_t memEpoch = 0;
+        /** Read replies (NetPut) granted and still crossing the mesh.
+         *  Replies wait for memory data and invalidations do not, so a
+         *  later writer's invalidation can reach the requester first
+         *  and retire its invalPending bit; the reply is still a
+         *  legitimate delivery (the cache drops it on fill). */
+        std::uint64_t replyPending = 0;
+        // Epochs compare only for equality, so 32 bits suffice (a miss
+        // would need exactly 2^32 exclusive grants of one line between
+        // two checks) and keep the record at 80 bytes.
+        std::uint32_t writeEpoch = 0;
+        std::uint32_t memEpoch = 0;
 
         // Holder index, kept by the caches' state reports.
         Holders held;

@@ -114,6 +114,16 @@ operator new[](std::size_t size, std::align_val_t align,
     return countedAlignedAlloc(size, align);
 }
 
+// GCC's -Wmismatched-new-delete flags the free() calls below as
+// releasing memory from operator new. It does not see that operator new
+// is replaced above with malloc/aligned_alloc, so every pointer these
+// deletes receive did come from the C allocator: a false positive,
+// silenced for exactly these definitions.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
 void
 operator delete(void *p) noexcept
 {
@@ -186,6 +196,10 @@ operator delete[](void *p, std::align_val_t,
 {
     std::free(p);
 }
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace flashsim
 {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -264,6 +267,162 @@ TEST(EventQueue, ResetClearsBothLevels)
     eq.schedule(1, [&] { ++ran; });
     eq.run();
     EXPECT_EQ(ran, 1);
+}
+
+// ---------------------------------------------------------------------------
+// In-place construction and execution.
+
+TEST(EventQueue, SameTickGrowthNeverMovesTheRunningEvent)
+{
+    // The running event schedules far more same-tick events than the
+    // bucket has room for, forcing its vector to reallocate, and then
+    // reads its own captures. Events run where they were built, so
+    // this is a use-after-free (caught under ASan) unless the running
+    // event's storage is out of the growing bucket's reach.
+    EventQueue eq;
+    std::vector<int> order;
+    std::uint64_t seen = 0;
+    const std::uint64_t a = 0x1111, b = 0x2222, c = 0x3333, d = 0x4444;
+    eq.schedule(3, [&eq, &order, &seen, a, b, c, d] {
+        for (int i = 0; i < 5000; ++i)
+            eq.schedule(0, [&order, i] { order.push_back(i); });
+        seen = a + b + c + d;
+    });
+    // A second pre-existing event in the same tick also runs after the
+    // growth, from the original storage.
+    eq.schedule(3, [&order] { order.push_back(-1); });
+    EXPECT_EQ(eq.run(), 5002u);
+    EXPECT_EQ(seen, 0xaaaau);
+    ASSERT_EQ(order.size(), 5001u);
+    EXPECT_EQ(order[0], -1);
+    for (int i = 0; i < 5000; ++i)
+        ASSERT_EQ(order[static_cast<std::size_t>(i) + 1], i);
+    EXPECT_EQ(eq.now(), 3u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, SameTickCascadesStayFifoOverManyRounds)
+{
+    // Each same-tick event schedules the next generation at the same
+    // tick: every generation is its own drain round (and swap of the
+    // side vector), and order stays global FIFO across rounds.
+    EventQueue eq;
+    std::vector<int> order;
+    std::function<void(int)> spawn = [&](int id) {
+        order.push_back(id);
+        if (id < 64)
+            eq.schedule(0, [&spawn, id] { spawn(2 * id); });
+        if (id < 64)
+            eq.schedule(0, [&spawn, id] { spawn(2 * id + 1); });
+    };
+    eq.schedule(9, [&spawn] { spawn(1); });
+    eq.run();
+    std::vector<int> want;
+    for (int i = 1; i < 128; ++i)
+        want.push_back(i);
+    EXPECT_EQ(order, want);
+    // A later tick reuses the same ring slot and side vector cleanly.
+    eq.schedule(EventQueue::kRingSize, [&order] { order.push_back(0); });
+    eq.run();
+    EXPECT_EQ(order.back(), 0);
+}
+
+TEST(EventQueue, NetLaneRunsFirstInSrcSeqOrderThenFifo)
+{
+    EventQueue eq;
+    std::vector<std::pair<int, int>> order; // (lane, id)
+    const Tick t = 20;
+    // Normal events scheduled before, between and after the network
+    // sends: all run after the whole network lane, in FIFO order.
+    eq.scheduleAt(t, [&order] { order.push_back({1, 0}); });
+    const std::pair<NodeId, std::uint64_t> keys[] = {
+        {3, 7}, {1, 9}, {3, 2}, {0, 5}, {1, 1}, {2, 4}};
+    for (const auto &[src, seq] : keys) {
+        eq.scheduleNet(t, src, seq, [&order, src = src, seq = seq] {
+            order.push_back({0, static_cast<int>(src * 100 + seq)});
+        });
+        eq.scheduleAt(t, [&order, src = src] {
+            order.push_back({1, static_cast<int>(src) + 1});
+        });
+    }
+    // Far-future net events promote from overflow into the same order.
+    const Tick far = t + 3 * EventQueue::kRingSize;
+    eq.scheduleNet(far, 2, 1, [&order] { order.push_back({2, 201}); });
+    eq.scheduleNet(far, 1, 3, [&order] { order.push_back({2, 103}); });
+    eq.run();
+    const std::vector<std::pair<int, int>> want = {
+        {0, 5},   {0, 101}, {0, 109}, {0, 204}, {0, 302}, {0, 307},
+        {1, 0},   {1, 4},   {1, 2},   {1, 4},   {1, 1},   {1, 2},
+        {1, 3},   {2, 103}, {2, 201}};
+    EXPECT_EQ(order, want);
+}
+
+TEST(EventQueue, InPlaceAndCallbackOverloadsInterleaveInSeqOrder)
+{
+    // Alternate the in-place overloads with prebuilt Callbacks, near
+    // and far (overflow), at the same ticks: one (tick, seq) order.
+    EventQueue eq;
+    std::vector<int> order;
+    for (Tick when : {Tick{5}, Tick{5 + 2 * EventQueue::kRingSize}}) {
+        for (int i = 0; i < 8; ++i) {
+            const int id = static_cast<int>(when) * 100 + i;
+            if (i % 2 == 0) {
+                eq.scheduleAt(when, [&order, id] { order.push_back(id); });
+            } else {
+                EventQueue::Callback cb = [&order, id] {
+                    order.push_back(id);
+                };
+                eq.scheduleAt(when, std::move(cb));
+            }
+        }
+    }
+    // schedule() with a delay, both overloads, mid-run.
+    eq.scheduleAt(6, [&] {
+        eq.schedule(1, [&order] { order.push_back(-2); });
+        EventQueue::Callback cb = [&order] { order.push_back(-3); };
+        eq.schedule(1, std::move(cb));
+        eq.schedule(1, [&order] { order.push_back(-4); });
+    });
+    eq.run();
+    std::vector<int> want;
+    for (int i = 0; i < 8; ++i)
+        want.push_back(500 + i);
+    want.insert(want.end(), {-2, -3, -4});
+    for (int i = 0; i < 8; ++i)
+        want.push_back(
+            static_cast<int>(5 + 2 * EventQueue::kRingSize) * 100 + i);
+    EXPECT_EQ(order, want);
+}
+
+TEST(InlineCallback, TriviallyCopyableCallableSurvivesRelocation)
+{
+    // Every in-tree event lambda is trivially copyable and relocates by
+    // memcpy; its captures must come through moves intact.
+    struct Payload
+    {
+        std::uint64_t w[6];
+    };
+    Payload p{{1, 2, 3, 4, 5, 6}};
+    std::uint64_t sum = 0;
+    auto fn = [&sum, p] {
+        for (std::uint64_t v : p.w)
+            sum += v;
+    };
+    static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+    InlineCallback a = fn;
+    InlineCallback b = std::move(a);
+    InlineCallback c;
+    c = std::move(b);
+    EXPECT_FALSE(static_cast<bool>(a));
+    EXPECT_FALSE(static_cast<bool>(b));
+    c();
+    EXPECT_EQ(sum, 21u);
+    // And through a queue whose bucket reallocates around it.
+    EventQueue eq;
+    for (int i = 0; i < 100; ++i)
+        eq.schedule(1, fn);
+    eq.run();
+    EXPECT_EQ(sum, 21u * 101);
 }
 
 /** Instrumented callable for InlineCallback lifetime checks. */

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "magic/timing_model.hh"
+#include "sim/random.hh"
 
 namespace flashsim::magic
 {
@@ -193,6 +197,180 @@ TEST_F(PpTimingTest, GetxOccupancyScalesWithInvalidations)
     Cycles per_inval = (c4 - c1) / 3;
     EXPECT_GE(per_inval, 7u);
     EXPECT_LE(per_inval, 18u);
+}
+
+/**
+ * The shadow memory's semantics restated as an ordinary virtual
+ * PpMemory (std::map write buffer, out-of-line MagicCache probe
+ * through the PpMemory interface): the reference the statically bound
+ * executor is held to.
+ */
+class VirtualShadow : public ppisa::PpMemory
+{
+  public:
+    VirtualShadow(const DirectoryStore &dir, MagicCache &mdc,
+                  Cycles miss_penalty)
+        : dir_(dir), mdc_(mdc), missPenalty_(miss_penalty)
+    {}
+
+    std::uint64_t
+    load(Addr addr, Cycles &extra) override
+    {
+        probe(addr, false, extra);
+        auto it = writes_.find(addr);
+        return it != writes_.end() ? it->second : dir_.loadWord(addr);
+    }
+
+    void
+    store(Addr addr, std::uint64_t value, Cycles &extra) override
+    {
+        probe(addr, true, extra);
+        writes_[addr] = value;
+    }
+
+    void
+    reset()
+    {
+        writes_.clear();
+        misses = 0;
+        writebacks = 0;
+    }
+
+    std::uint32_t misses = 0;
+    std::uint32_t writebacks = 0;
+
+  private:
+    void
+    probe(Addr addr, bool is_write, Cycles &extra)
+    {
+        const MdcAccess a = mdc_.access(addr, is_write);
+        extra = a.hit ? 0 : missPenalty_;
+        misses += a.hit ? 0 : 1;
+        writebacks += a.victimWriteback ? 1 : 0;
+    }
+
+    const DirectoryStore &dir_;
+    MagicCache &mdc_;
+    Cycles missPenalty_;
+    std::map<Addr, std::uint64_t> writes_;
+};
+
+/** A random directory state over @p lines: each line clean with up to
+ *  five distinct sharers, or dirty at a random owner; random pending
+ *  invalidation-ack counts. */
+void
+randomizeDirectory(DirectoryStore &dir, const std::vector<Addr> &lines,
+                   Rng &rng)
+{
+    for (Addr line : lines) {
+        dir.clearSharers(line);
+        DirHeader h = dir.header(line);
+        h.dirty = rng.below(10) < 3;
+        h.owner = static_cast<NodeId>(rng.below(16));
+        dir.setHeader(line, h);
+        if (!h.dirty) {
+            const std::uint64_t n = rng.below(6);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const NodeId node = static_cast<NodeId>(rng.below(16));
+                if (!dir.isSharer(line, node))
+                    dir.addSharer(line, node);
+            }
+        }
+        dir.storeWord(protocol::ackAddr(line), rng.below(4));
+    }
+}
+
+TEST(ShadowExecutor, MatchesPpSimOverVirtualMemory)
+{
+    // Every (message type, at-home) handler program over randomized
+    // directory states: runOnShadow (the executor bound statically to
+    // ShadowMemory, Sends discarded) against PpSim::run over a virtual
+    // PpMemory with the same semantics, on both engines. A 1 KB MDC
+    // (4 sets x 2 ways) keeps misses and dirty writebacks frequent,
+    // and each side's MDC carries its state across invocations.
+    const HandlerPrograms &programs = *protocol::sharedHandlerPrograms();
+    const std::vector<Addr> lines = {0x2000, 0x2080, 0x3000, 0x3100,
+                                     0x7f80, 0x12000};
+    DirectoryStore dir;
+    MagicCache mdcStatic(1024, 2, 128);
+    MagicCache mdcThreaded(1024, 2, 128);
+    MagicCache mdcInterp(1024, 2, 128);
+    ShadowMemory shadow(dir, mdcStatic, 29);
+    VirtualShadow vThreaded(dir, mdcThreaded, 29);
+    VirtualShadow vInterp(dir, mdcInterp, 29);
+    const ppisa::PpSim threaded(ppisa::PpBackend::Threaded);
+    const ppisa::PpSim interp(ppisa::PpBackend::Interpreter);
+    ppisa::RunStats sStatic, sThreaded, sInterp;
+    std::vector<ppisa::SentMessage> sent;
+    Rng rng(0x5eed);
+
+    int programsRun = 0;
+    std::uint64_t invocations = 0, misses = 0, writebacks = 0;
+    for (int t = 0; t < protocol::kNumMsgTypes; ++t) {
+        for (int at_home = 0; at_home < 2; ++at_home) {
+            const ppisa::Program *prog = programs.forMessageOrNull(
+                static_cast<MsgType>(t), at_home != 0);
+            if (prog == nullptr)
+                continue;
+            ++programsRun;
+            for (int iter = 0; iter < 40; ++iter) {
+                randomizeDirectory(dir, lines, rng);
+                const Message m = msg(
+                    static_cast<MsgType>(t),
+                    static_cast<NodeId>(rng.below(16)),
+                    lines[rng.below(lines.size())],
+                    static_cast<NodeId>(rng.below(16)),
+                    static_cast<std::uint32_t>(rng.below(4)));
+                const NodeId home =
+                    at_home ? 0 : static_cast<NodeId>(1 + rng.below(15));
+                const bool cache_dirty = rng.below(2) != 0;
+                const ppisa::RegFile in =
+                    protocol::makeHandlerRegs(m, 0, home, cache_dirty);
+
+                ppisa::RegFile rStatic = in, rThreaded = in, rInterp = in;
+                shadow.reset();
+                vThreaded.reset();
+                vInterp.reset();
+                const Cycles cStatic =
+                    runOnShadow(prog->decoded(), rStatic, shadow, sStatic);
+                sent.clear();
+                const Cycles cThreaded =
+                    threaded.run(*prog, rThreaded, vThreaded, sent,
+                                 sThreaded);
+                sent.clear();
+                const Cycles cInterp =
+                    interp.run(*prog, rInterp, vInterp, sent, sInterp);
+
+                SCOPED_TRACE(prog->name + " iteration " +
+                             std::to_string(iter));
+                ASSERT_EQ(cStatic, cThreaded);
+                ASSERT_EQ(cStatic, cInterp);
+                ASSERT_EQ(rStatic, rThreaded);
+                ASSERT_EQ(rStatic, rInterp);
+                ASSERT_EQ(shadow.misses, vThreaded.misses);
+                ASSERT_EQ(shadow.misses, vInterp.misses);
+                ASSERT_EQ(shadow.writebacks, vThreaded.writebacks);
+                ASSERT_EQ(shadow.writebacks, vInterp.writebacks);
+                ASSERT_EQ(sStatic, sThreaded);
+                ASSERT_EQ(sStatic, sInterp);
+                ++invocations;
+                misses += shadow.misses;
+                writebacks += shadow.writebacks;
+            }
+        }
+    }
+    for (const MagicCache *other : {&mdcThreaded, &mdcInterp}) {
+        EXPECT_EQ(mdcStatic.reads, other->reads);
+        EXPECT_EQ(mdcStatic.readMisses, other->readMisses);
+        EXPECT_EQ(mdcStatic.writes, other->writes);
+        EXPECT_EQ(mdcStatic.writeMisses, other->writeMisses);
+        EXPECT_EQ(mdcStatic.writebacks, other->writebacks);
+    }
+    // Every program ran, and the MDC both missed and wrote back.
+    EXPECT_GE(programsRun, 25);
+    EXPECT_EQ(sStatic.invocations, invocations);
+    EXPECT_GT(misses, 100u);
+    EXPECT_GT(writebacks, 0u);
 }
 
 } // namespace

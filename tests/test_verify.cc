@@ -451,6 +451,32 @@ TEST(OracleTest, HolderIndexMatchesCacheProbeAfterEveryHandler)
     EXPECT_GT(hints, 0u);
 }
 
+TEST(OracleTest, IdealMachinePaperRadixHasNoViolations)
+{
+    // Paper-size radix (256K keys) on 16 nodes of the ideal machine.
+    // Its read replies wait for memory data while invalidations do
+    // not, so a later writer's invalidation often overtakes a granted
+    // read reply on the mesh (18 times in this run); the reply still
+    // arrives legitimately and the cache drops it on fill. The oracle
+    // must remember the reply in flight instead of reporting
+    // put-not-sharer.
+    MachineConfig cfg = MachineConfig::ideal(16);
+    cfg.magic.verify.oracle = true;
+    cfg.magic.verify.watchdog = true;
+    cfg.magic.verify.haltOnViolation = false;
+    cfg.magic.verify.haltOnTrip = false;
+    cfg.magic.verify.traceDepth = 8;
+    Machine m(cfg);
+    apps::Radix radix(apps::RadixParams{});
+    radix.setup(m);
+    m.run(radix.body());
+    m.drain();
+
+    EXPECT_GT(m.sentinel()->oracle()->trackedLines(), 1000u);
+    EXPECT_EQ(m.sentinel()->violations(), 0u);
+    EXPECT_EQ(m.sentinel()->trips(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Watchdog: trips on wedged transactions and on global no-progress,
 // disarms on quiescence so the event queue drains.
