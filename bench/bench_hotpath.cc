@@ -127,23 +127,19 @@ BM_EventQueueScheduleRun(benchmark::State &state)
  * PP handler dispatch: execute protocol handler programs back to back
  * the way PpTimingModel does per invocation (register-file setup +
  * emulated execution). The mix alternates the hot read path (GET at
- * home, clean) with the cheap forward program.
- *
- * Two registrations share this body: BM_PpHandlerDispatch runs the
- * decoded interpreter, BM_PpDispatchCompiled the threaded-code backend
- * (scripts/bench_gate.py enforces a >= 2x ratio between them). Release
- * builds leave the conformance oracle off (see PpSim::oracleEnabled),
- * so the threaded number is the production configuration.
+ * home, clean) with the cheap forward program. Release builds leave
+ * the conformance oracle off (see PpSim::oracleEnabled), so this times
+ * the threaded executor alone.
  */
 void
-dispatchBench(benchmark::State &state, ppisa::PpBackend backend)
+BM_PpDispatchCompiled(benchmark::State &state)
 {
     using protocol::Message;
     using protocol::MsgType;
 
     static const protocol::HandlerPrograms programs =
         protocol::buildHandlerPrograms();
-    ppisa::PpSim sim(backend);
+    const ppisa::PpSim sim;
     ppisa::FlatPpMemory mem;
     ppisa::RunStats stats;
     std::vector<ppisa::SentMessage> sent;
@@ -191,18 +187,6 @@ dispatchBench(benchmark::State &state, ppisa::PpBackend backend)
     benchmark::DoNotOptimize(total);
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) * 2);
-}
-
-void
-BM_PpHandlerDispatch(benchmark::State &state)
-{
-    dispatchBench(state, ppisa::PpBackend::Interpreter);
-}
-
-void
-BM_PpDispatchCompiled(benchmark::State &state)
-{
-    dispatchBench(state, ppisa::PpBackend::Threaded);
 }
 
 /**
@@ -369,7 +353,6 @@ BM_MeshSend(benchmark::State &state)
 BENCHMARK(BM_EventQueueHold)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_EventQueueHoldFar)->Arg(256)->Arg(4096);
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_PpHandlerDispatch);
 BENCHMARK(BM_PpDispatchCompiled);
 BENCHMARK(BM_DirectoryOps);
 BENCHMARK(BM_StatHandle);

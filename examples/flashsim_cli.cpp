@@ -59,8 +59,6 @@ usage()
         "  --no-spec         disable speculative memory operations\n"
         "  --table-timing    Table 3.4 constants instead of PPsim\n"
         "  --baseline-pp     no ISA extensions, single issue (S5.3)\n"
-        "  --pp-backend B    threaded|interpreter handler engine\n"
-        "                    (default threaded; bit-identical timing)\n"
         "  --distance-net    per-pair mesh distances instead of the\n"
         "                    22-cycle average\n"
         "verification (src/verify):\n"
@@ -135,16 +133,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--baseline-pp")) {
             cfg.ppCompile = ppc::CompileOptions{false, false};
             cfg.magic.optimizedPp = false;
-        } else if (!std::strcmp(argv[i], "--pp-backend")) {
-            const std::string backend = next();
-            if (backend == "threaded") {
-                cfg.magic.ppBackend = ppisa::PpBackend::Threaded;
-            } else if (backend == "interpreter") {
-                cfg.magic.ppBackend = ppisa::PpBackend::Interpreter;
-            } else {
-                usage();
-                return 1;
-            }
         } else if (!std::strcmp(argv[i], "--distance-net")) {
             cfg.net.distanceBased = true;
         } else if (!std::strcmp(argv[i], "--verify")) {

@@ -13,7 +13,6 @@
 #ifndef FLASHSIM_MAGIC_PARAMS_HH_
 #define FLASHSIM_MAGIC_PARAMS_HH_
 
-#include "ppisa/backend.hh"
 #include "sim/types.hh"
 #include "verify/params.hh"
 
@@ -30,12 +29,6 @@ struct MagicParams
     bool usePpEmulator = true;
     /** Compile handlers without ISA extensions / dual issue (S5.3). */
     bool optimizedPp = true;
-    /** Which engine executes handler programs when usePpEmulator is
-     *  set. Threaded is the production default (bit-identical to the
-     *  interpreter, enforced by the conformance oracle and the
-     *  differential fuzz suite); Interpreter is kept selectable for
-     *  A/B debugging and as the fallback of record. */
-    ppisa::PpBackend ppBackend = ppisa::PpBackend::Threaded;
 
     // ---- Table 3.2 sub-operation latencies ------------------------------
     Cycles missDetect = 5;   ///< miss detect to request on bus

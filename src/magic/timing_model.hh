@@ -81,7 +81,7 @@ class TableTimingModel : public HandlerTimingModel
  * every access probes the MDC model, charging the miss penalty. Final
  * with inline members, so the executor instantiated on it (runOnShadow)
  * folds each access into its kernel; it is still a PpMemory, so the
- * checked and interpreter paths can run over it through PpSim::run.
+ * oracle-checked path can run over it through PpSim::run.
  */
 class ShadowMemory final : public ppisa::PpMemory
 {
@@ -142,16 +142,16 @@ class ShadowMemory final : public ppisa::PpMemory
  * The threaded PP executor bound statically to ShadowMemory, with the
  * handler's Sends discarded: PpTimingModel's per-message path. Same
  * cycles, statistics and memory traffic as PpSim::run over the same
- * memory with the threaded backend.
+ * memory.
  */
 Cycles runOnShadow(const ppisa::DecodedProgram &d, ppisa::RegFile &regs,
                    ShadowMemory &mem, ppisa::RunStats &stats);
 
 /**
- * PPsim-driven timing. With the threaded backend and the PP conformance
- * oracle off (the default release configuration) each handler runs
- * through runOnShadow; otherwise — FS_PP_ORACLE=1, or the interpreter
- * backend — through PpSim::run, which cross-checks or interprets.
+ * PPsim-driven timing. With the PP conformance oracle off (the default
+ * release configuration) each handler runs through runOnShadow; with it
+ * on (FS_PP_ORACLE=1) through PpSim::run, which cross-checks every
+ * invocation against PpSim::runReference.
  */
 class PpTimingModel : public HandlerTimingModel
 {
@@ -202,8 +202,8 @@ class PpTimingModel : public HandlerTimingModel
     /** Handlers run through runOnShadow, not PpSim::run (see class). */
     bool direct_;
     ppisa::RunStats stats_;
-    /** PpSim::run's Send buffer on the checked/interpreter path (its
-     *  contents are not read; reused, so no allocation per handler). */
+    /** PpSim::run's Send buffer on the checked path (its contents are
+     *  not read; reused, so no allocation per handler). */
     std::vector<ppisa::SentMessage> sent_;
     HandlerTiming last_;
     std::array<std::array<DispatchEntry, 2>, protocol::kNumMsgTypes>

@@ -78,7 +78,7 @@ DecodedProgram::DecodedProgram(const Program &prog)
         }
         d.halts = pair.a.op == Op::Halt || pair.b.op == Op::Halt;
 
-        // Resolve the static-scheduling contract, in the interpreter's
+        // Resolve the static-scheduling contract, in the reference's
         // check order so a multiply-broken pair reports the same
         // violation first.
         const int dest_a = pair.a.destReg();
@@ -118,12 +118,6 @@ Program::decoded() const
     if (!decoded_ || !decoded_->matches(*this))
         decoded_ = std::make_shared<const DecodedProgram>(*this);
     return *decoded_;
-}
-
-void
-Program::invalidateDecodeCache() const
-{
-    decoded_.reset();
 }
 
 } // namespace flashsim::ppisa

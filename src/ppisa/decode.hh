@@ -56,10 +56,10 @@ struct DecodedPair
 {
     /**
      * Static-scheduling contract verdict from decode time. The
-     * interpreter only checked a pair when it was dynamically reached,
-     * so a violation is recorded rather than reported eagerly and the
+     * reference only checks a pair when it is dynamically reached, so
+     * a violation is recorded rather than reported eagerly and the
      * executor panics on arrival — unreachable bad pairs stay silent,
-     * exactly as before.
+     * exactly as in the reference.
      */
     enum class Violation : std::uint8_t
     {

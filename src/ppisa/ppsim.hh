@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "ppisa/backend.hh"
 #include "ppisa/instruction.hh"
 #include "sim/flat_table.hh"
 #include "sim/types.hh"
@@ -83,10 +82,6 @@ class Program
      */
     const DecodedProgram &decoded() const;
 
-    /** Drop the cached decode (kept for emphasis at call sites; the
-     *  version fingerprint already catches mutablePairs() mutations). */
-    void invalidateDecodeCache() const;
-
   private:
     std::vector<InstrPair> pairs_;
     std::uint64_t version_ = 0;
@@ -98,8 +93,6 @@ class Program
  * accessed through the MAGIC data cache. Implementations return the
  * extra stall cycles (0 on an MDC hit, the miss penalty otherwise).
  */
-class FlatPpMemory;
-
 class PpMemory
 {
   public:
@@ -107,35 +100,13 @@ class PpMemory
     virtual std::uint64_t load(Addr addr, Cycles &extra_cycles) = 0;
     virtual void store(Addr addr, std::uint64_t value,
                        Cycles &extra_cycles) = 0;
-
-    /**
-     * Devirtualization tag for the threaded backend: true exactly for
-     * FlatPpMemory, whose statically-typed executor instantiation
-     * inlines every memory op instead of making virtual calls. A plain
-     * flag (not a virtual query): the executor tests it on every
-     * handler invocation, where an indirect call is measurable. Cycle
-     * accounting is unaffected — FlatPpMemory never stalls.
-     */
-    bool isFlat() const { return isFlat_; }
-
-  protected:
-    PpMemory() = default;
-    /** Only FlatPpMemory may pass true: runThreaded static_casts the
-     *  tagged object to FlatPpMemory. */
-    explicit PpMemory(bool is_flat) : isFlat_(is_flat) {}
-
-  private:
-    bool isFlat_ = false;
 };
 
 /** Trivial PpMemory backed by a flat hash table; every access hits
- *  (0 stall). Final + fully inline so the threaded executor's
- *  FlatPpMemory instantiation folds the whole access into the kernel. */
+ *  (0 stall). The memory of tests, benches and tools. */
 class FlatPpMemory final : public PpMemory
 {
   public:
-    FlatPpMemory() : PpMemory(true) {}
-
     std::uint64_t
     load(Addr addr, Cycles &extra_cycles) override
     {
@@ -200,6 +171,12 @@ struct RunStats
 /** Register file contents passed into / out of a handler run. */
 using RegFile = std::array<std::uint64_t, kNumRegs>;
 
+/** The one PP engine, still named by the paper-suite benchmark. */
+enum class PpBackend
+{
+    Threaded,
+};
+
 /**
  * The PP emulator. Stateless between runs; all architectural state lives
  * in the RegFile and PpMemory passed to run().
@@ -210,28 +187,19 @@ class PpSim
     /** Upper bound on cycles per handler; exceeded => runaway handler. */
     static constexpr Cycles kMaxCycles = 1 << 20;
 
-    /**
-     * @param backend which engine run() uses. Interpreter is the
-     * default for direct constructions (tests, tools); the machine
-     * plumbs MagicParams::ppBackend through here. With the Threaded
-     * backend, run() cross-checks every invocation against
-     * runReference() when the conformance oracle is enabled — see
-     * oracleEnabled().
-     */
-    explicit PpSim(PpBackend backend = PpBackend::Interpreter)
-        : backend_(backend),
-          checkThreaded_(backend == PpBackend::Threaded && oracleEnabled())
+    /** run() cross-checks every invocation against runReference() when
+     *  the conformance oracle is enabled (see oracleEnabled()). */
+    explicit PpSim(PpBackend = PpBackend::Threaded)
+        : checked_(oracleEnabled())
     {
     }
 
-    PpBackend backend() const { return backend_; }
-
     /**
-     * True when threaded-backend runs are cross-checked step-for-step
-     * against the reference interpreter. Controlled by the FS_PP_ORACLE
-     * environment variable ("1" forces on, anything else forces off);
-     * when unset, on in debug builds (!NDEBUG) and off in release
-     * builds. Read once per process.
+     * True when run() is cross-checked step-for-step against
+     * runReference(). Controlled by the FS_PP_ORACLE environment
+     * variable ("1" forces on, anything else forces off); when unset,
+     * on in debug builds (!NDEBUG) and off in release builds. Read once
+     * per process.
      */
     static bool oracleEnabled();
 
@@ -243,10 +211,10 @@ class PpSim
      * the load is a panic (the real PP has no interlocks, so such code is
      * simply broken).
      *
-     * Runs over the program's cached decode (Program::decoded()); the
-     * architectural behaviour — register/memory/message effects, cycle
-     * charges, statistics, and every contract panic — is identical to
-     * runReference().
+     * Runs the threaded image of the program's cached decode
+     * (Program::decoded(), threaded.hh); the architectural behaviour —
+     * register/memory/message effects, cycle charges, statistics, and
+     * every contract panic — is identical to runReference().
      *
      * @param regs     register file (r0 forced to zero); updated in place.
      * @param mem      protocol-data memory (MDC timing hook).
@@ -272,9 +240,8 @@ class PpSim
     /**
      * The original per-issue-slot interpreter, which re-decodes each
      * instruction (bitfields, source/dest sets, contract checks) every
-     * time it executes. Kept as the conformance oracle for the decode
-     * cache: tests run every opcode through both paths and require
-     * identical results.
+     * time it executes. The reference semantics: the conformance oracle
+     * and the differential tests require run() to match it exactly.
      */
     Cycles runReference(const Program &prog, RegFile &regs, PpMemory &mem,
                         std::vector<SentMessage> &sent,
@@ -286,10 +253,9 @@ class PpSim
                               std::vector<SentMessage> &sent,
                               RunStats &stats) const;
 
-    PpBackend backend_ = PpBackend::Interpreter;
-    /** Threaded backend + oracle on, latched at construction so run()
-     *  skips the static-local guard of oracleEnabled() per call. */
-    bool checkThreaded_ = false;
+    /** oracleEnabled(), latched at construction so run() skips its
+     *  static-local guard per call. */
+    bool checked_ = false;
 };
 
 } // namespace flashsim::ppisa

@@ -1,12 +1,12 @@
 /**
  * @file
- * Token-threaded PP executor: build side and the generic instantiations.
+ * Token-threaded PP executor: build side and the PpMemory instantiation.
  *
  * Build side: lower every DecodedPair to a ThreadedOp carrying a kernel
- * token, resolving at build time what the interpreter re-checked every
+ * token, resolving at build time what the reference re-checks every
  * pair (contract verdicts, branch-target bounds, load-delay
  * reachability). Run side: the executor template in threaded_exec.hh,
- * instantiated here on PpMemory and FlatPpMemory.
+ * instantiated here on PpMemory.
  */
 
 #include "ppisa/threaded.hh"
@@ -72,7 +72,7 @@ isPureAlu(Op op)
 /**
  * Pick the kernel for one pair. @p npairs bounds branch targets: a
  * target of exactly npairs lands on the out-of-range sentinel (same
- * panic as the interpreter's bounds check), anything beyond must go
+ * panic as the reference's bounds check), anything beyond must go
  * through the Generic kernel, which range-checks the computed pc.
  */
 ThreadedKernel
@@ -223,7 +223,7 @@ ThreadedProgram::ThreadedProgram(const std::string &name,
 
     // Sentinel one past the end: falling through the last pair (or
     // branching to exactly npairs) dispatches here and raises the
-    // interpreter's pc-out-of-range panic.
+    // reference's pc-out-of-range panic.
     ThreadedOp sentinel;
     sentinel.kernel = ThreadedKernel::OutOfRange;
     ops_.push_back(sentinel);
@@ -246,16 +246,6 @@ ThreadedProgram::specializedFraction() const
 Cycles
 runThreaded(const DecodedProgram &d, RegFile &regs, PpMemory &mem,
             std::vector<SentMessage> &sent, RunStats &stats)
-{
-    if (mem.isFlat())
-        return runThreadedFlat(d, regs, static_cast<FlatPpMemory &>(mem),
-                               sent, stats);
-    return runThreadedOn(d, regs, mem, sent, stats);
-}
-
-Cycles
-runThreadedFlat(const DecodedProgram &d, RegFile &regs, FlatPpMemory &mem,
-                std::vector<SentMessage> &sent, RunStats &stats)
 {
     return runThreadedOn(d, regs, mem, sent, stats);
 }

@@ -1,37 +1,34 @@
 /**
  * @file
- * Threaded-code PP execution backend.
+ * The threaded-code PP executor: the one engine behind PpSim::run.
  *
- * The decoded interpreter (ppsim.cc) still pays one indirect switch
- * dispatch, a generic two-slot executor, and a by-value result/writeback
- * dance per pair. This backend lowers each DecodedPair once more, into a
- * ThreadedOp tagged with a *kernel id*: the executor is a single
- * function whose kernels are computed-goto labels (token threading), so
- * every pair jumps straight to a block specialized for its shape —
- * per-opcode kernels for single-issue pairs, fused kernels for the
- * hottest dual-issue combinations reported by the static micro-op
- * profile pass (ppc/profile.hh), and a generic fallback that reuses the
- * interpreter's own execMicro for everything else.
+ * Each DecodedPair is lowered once more, into a ThreadedOp tagged with
+ * a *kernel id*: the executor is a single function whose kernels are
+ * computed-goto labels (token threading), so every pair jumps straight
+ * to a block specialized for its shape — per-opcode kernels for
+ * single-issue pairs, fused kernels for the hottest dual-issue
+ * combinations reported by the static micro-op profile pass
+ * (ppc/profile.hh), and a generic two-slot kernel for everything else.
  *
- * Work the interpreter re-did every pair is resolved at build time:
+ * Work a plain per-pair loop would re-do is resolved at build time:
  *  - static contract verdicts become a dedicated panic kernel, so clean
  *    pairs carry no violation branches at all;
  *  - the load-delay check runs only for pairs some static predecessor
  *    could actually poison (none, in correctly scheduled code);
  *  - the pc bounds check disappears — branch targets are validated at
  *    build time and fall-through off the end lands on a sentinel op
- *    that raises the interpreter's exact out-of-range panic.
+ *    that raises the reference's exact out-of-range panic.
  *
  * The executor itself is a template over the memory and Send sink
- * types in threaded_exec.hh; the declarations below are its PpMemory
- * and FlatPpMemory instantiations.
+ * types in threaded_exec.hh; runThreaded below is its PpMemory
+ * instantiation.
  *
  * Architectural behaviour — register/memory/message effects, cycle
  * charges, statistics, and every contract panic text — is bit-identical
- * to PpSim's interpreter (and therefore to runReference). This is
- * enforced by the debug conformance oracle in ppsim.cc (FS_PP_ORACLE),
- * the differential fuzz suite in tests/test_pp_backends.cc, and the
- * coherence sentinel running full workloads on this backend in CI.
+ * to PpSim::runReference. This is enforced by the conformance oracle in
+ * ppsim.cc (FS_PP_ORACLE), the differential fuzz suite in
+ * tests/test_pp_backends.cc, and the coherence sentinel running full
+ * workloads on this executor in CI.
  */
 
 #ifndef FLASHSIM_PPISA_THREADED_HH_
@@ -51,7 +48,7 @@ namespace flashsim::ppisa
  */
 enum class ThreadedKernel : std::uint8_t
 {
-    Generic,    ///< any pair: interpreter-equivalent two-slot execution
+    Generic,    ///< any pair: reference-equivalent two-slot execution
                 ///< with the full bounds + load-delay checked epilogue
     Violation,  ///< decode-time contract violation; panics when reached
     OutOfRange, ///< sentinel one past the last pair (fall-off panic)
@@ -143,20 +140,12 @@ class ThreadedProgram
 };
 
 /**
- * Execute @p d's threaded image from pair 0 until Halt. Exact same
- * contract as PpSim::run (which forwards here for the Threaded
- * backend); see ppsim.hh. Picks the statically-typed FlatPpMemory
- * instantiation when mem.isFlat().
+ * Execute @p d's threaded image from pair 0 until Halt over any
+ * PpMemory. Exact same contract as PpSim::run (which forwards here);
+ * see ppsim.hh.
  */
 Cycles runThreaded(const DecodedProgram &d, RegFile &regs, PpMemory &mem,
                    std::vector<SentMessage> &sent, RunStats &stats);
-
-/** The FlatPpMemory instantiation of the executor, for callers that
- *  already hold the concrete type (PpSim::run's isFlat() dispatch):
- *  every memory op is inlined into its kernel. */
-Cycles runThreadedFlat(const DecodedProgram &d, RegFile &regs,
-                       FlatPpMemory &mem, std::vector<SentMessage> &sent,
-                       RunStats &stats);
 
 } // namespace flashsim::ppisa
 

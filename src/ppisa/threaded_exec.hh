@@ -3,17 +3,18 @@
  * The token-threaded PP executor, as a template over the memory and the
  * Send sink so that callers outside ppisa can bind it statically to
  * their own memory type (see runThreadedOn). The build side — lowering
- * DecodedPairs to ThreadedOps — and the PpMemory / FlatPpMemory
- * instantiations live in threaded.cc.
+ * DecodedPairs to ThreadedOps — and the PpMemory instantiation live in
+ * threaded.cc.
  *
  * The kernels are computed-goto labels, each a hand-unrolled copy of
- * exactly one interpreter case, so a single-issue Addi pair costs one
- * table jump, one add, and the shared epilogue. On compilers without
- * the labels-as-values extension the same kernel bodies compile into a
- * for/switch loop (see the KERNEL / DISPATCH macros).
+ * exactly one case of the generic slot executor (execMicro below), so a
+ * single-issue Addi pair costs one table jump, one add, and the shared
+ * epilogue. On compilers without the labels-as-values extension the
+ * same kernel bodies compile into a for/switch loop (see the KERNEL /
+ * DISPATCH macros).
  *
- * Bit-identical semantics with the interpreter are non-negotiable; the
- * quirks worth calling out, all replicated deliberately:
+ * Bit-identical semantics with PpSim::runReference are non-negotiable;
+ * the quirks worth calling out, all replicated deliberately:
  *  - regs[0] is zeroed after every pair, not before the run, so pair 0
  *    observes the caller's r0;
  *  - write-back is parallel: both slots read pre-pair register values;
@@ -32,7 +33,6 @@
 #include <cstdint>
 
 #include "ppisa/decode.hh"
-#include "ppisa/microexec.hh"
 #include "ppisa/ppsim.hh"
 #include "ppisa/threaded.hh"
 #include "sim/logging.hh"
@@ -49,6 +49,177 @@ struct DiscardSends
 
 namespace detail
 {
+
+/** Per-slot execution result over a decoded micro-op. */
+struct MicroResult
+{
+    int destReg = -1;
+    std::uint64_t destVal = 0;
+    bool branchTaken = false;
+    std::uint32_t target = 0;
+};
+
+/** The generic per-slot executor of the Generic kernel, typed on the
+ *  memory and the Send sink like the executor. Inlined into both issue
+ *  slots: the call/return and the by-value MicroResult otherwise cost as
+ *  much as the typical one-ALU-op payload. */
+template <class Mem, class Sends>
+[[gnu::always_inline]] inline MicroResult
+execMicro(const MicroOp &m, RegFile &regs, Mem &mem, Sends &sent,
+          Cycles &stall)
+{
+    MicroResult r;
+    auto rs = [&] { return regs[m.rs]; };
+    auto rt = [&] { return regs[m.rt]; };
+    auto setDest = [&](std::uint64_t v) {
+        r.destReg = m.rd;
+        r.destVal = v;
+    };
+    auto branch = [&] {
+        r.branchTaken = true;
+        r.target = m.target;
+    };
+
+    switch (m.op) {
+      case Op::Nop:
+        break;
+      case Op::Add: setDest(rs() + rt()); break;
+      case Op::Sub: setDest(rs() - rt()); break;
+      case Op::And: setDest(rs() & rt()); break;
+      case Op::Or: setDest(rs() | rt()); break;
+      case Op::Xor: setDest(rs() ^ rt()); break;
+      case Op::Sllv: setDest(rs() << (rt() & 63)); break;
+      case Op::Srlv: setDest(rs() >> (rt() & 63)); break;
+      case Op::Slt:
+        setDest(static_cast<std::int64_t>(rs()) <
+                        static_cast<std::int64_t>(rt())
+                    ? 1
+                    : 0);
+        break;
+      case Op::Sltu: setDest(rs() < rt() ? 1 : 0); break;
+      case Op::Addi:
+        setDest(rs() + static_cast<std::uint64_t>(m.imm));
+        break;
+      case Op::Andi:
+        setDest(rs() & static_cast<std::uint64_t>(m.imm));
+        break;
+      case Op::Ori:
+        setDest(rs() | static_cast<std::uint64_t>(m.imm));
+        break;
+      case Op::Xori:
+        setDest(rs() ^ static_cast<std::uint64_t>(m.imm));
+        break;
+      case Op::Slli: setDest(rs() << (m.imm & 63)); break;
+      case Op::Srli: setDest(rs() >> (m.imm & 63)); break;
+      case Op::Srai:
+        setDest(static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(rs()) >> (m.imm & 63)));
+        break;
+      case Op::Slti:
+        setDest(static_cast<std::int64_t>(rs()) < m.imm ? 1 : 0);
+        break;
+      case Op::Ld: {
+        Cycles extra = 0;
+        std::uint64_t v =
+            mem.load(rs() + static_cast<std::uint64_t>(m.imm), extra);
+        stall += extra;
+        setDest(v);
+        break;
+      }
+      case Op::Sd: {
+        Cycles extra = 0;
+        mem.store(rs() + static_cast<std::uint64_t>(m.imm), rt(), extra);
+        stall += extra;
+        break;
+      }
+      case Op::Beq:
+        if (rs() == rt())
+            branch();
+        break;
+      case Op::Bne:
+        if (rs() != rt())
+            branch();
+        break;
+      case Op::J:
+        branch();
+        break;
+      case Op::Halt:
+        break;
+      case Op::Ffs: {
+        std::uint64_t v = rs();
+        setDest(v == 0 ? 64 : static_cast<std::uint64_t>(
+                                  __builtin_ctzll(v)));
+        break;
+      }
+      case Op::Bbs:
+        if ((rs() >> m.lo) & 1)
+            branch();
+        break;
+      case Op::Bbc:
+        if (!((rs() >> m.lo) & 1))
+            branch();
+        break;
+      case Op::Ext:
+        setDest((rs() >> m.lo) & m.mask);
+        break;
+      case Op::Ins:
+        setDest((regs[m.rd] & ~m.mask) | ((rs() << m.lo) & m.mask));
+        break;
+      case Op::Orfi:
+        setDest(rs() | m.mask);
+        break;
+      case Op::Andfi:
+        setDest(rs() & ~m.mask);
+        break;
+      case Op::Send:
+        sent.push_back(
+            SentMessage{static_cast<int>(m.imm), rs(), rt()});
+        break;
+    }
+    return r;
+}
+
+/** Name the offending register the way the reference does: first
+ *  source of slot a then slot b that hits a previous-pair load dest.
+ *  @p a / @p b are the two micro-ops of the offending pair. */
+[[noreturn]] inline void
+panicLoadDelay(const MicroOp &a, const MicroOp &b, std::size_t pc,
+               const char *name, std::uint32_t prev_load_mask)
+{
+    for (const MicroOp *m : {&a, &b}) {
+        for (std::uint8_t i = 0; i < m->nsrcs; ++i) {
+            const std::uint8_t src = m->srcs[i];
+            if (src != 0 && ((prev_load_mask >> src) & 1))
+                panic("PpSim: load-delay violation on r%d at pair %zu "
+                      "of '%s'", int(src), pc, name);
+        }
+    }
+    panic("PpSim: load-delay violation at pair %zu of '%s'", pc,
+          name); // unreachable: mask hit implies a source
+}
+
+/** Act on a decode-time contract verdict, in the reference's check
+ *  order (intra-pair RAW, intra-pair WAW, then two-branch — load-delay
+ *  sits between WAW and two-branch and is checked by the caller). */
+[[noreturn]] inline void
+panicViolation(DecodedPair::Violation v, std::uint8_t violation_reg,
+               std::size_t pc, const char *name)
+{
+    switch (v) {
+      case DecodedPair::Violation::IntraRaw:
+        panic("PpSim: intra-pair RAW on r%d at pair %zu of '%s'",
+              int(violation_reg), pc, name);
+      case DecodedPair::Violation::IntraWaw:
+        panic("PpSim: intra-pair WAW on r%d at pair %zu of '%s'",
+              int(violation_reg), pc, name);
+      case DecodedPair::Violation::TwoBranch:
+        panic("PpSim: two branches in pair %zu of '%s'", pc, name);
+      case DecodedPair::Violation::None:
+        break;
+    }
+    panic("PpSim: unknown contract violation at pair %zu of '%s'", pc,
+          name);
+}
 
 /** Value computed by a pure-ALU micro-op over the pre-pair register
  *  file. Reads only; the caller does the (parallel) write-back. */
@@ -129,7 +300,7 @@ evalBranchTaken(const MicroOp &m, const RegFile &regs)
  *  load mask, step to NEXT_OP, and re-dispatch. Expects `t` (the
  *  current op) in scope.
  *
- *  Unlike the interpreter, straight-line kernels do NOT test the
+ *  Unlike the reference, straight-line kernels do NOT test the
  *  runaway-cycles budget here: the check runs at every control
  *  transfer (branch kernels, Generic) and on entry to every terminal
  *  kernel (Halt, OutOfRange, Violation) instead — see RUNAWAY_CHECK
@@ -149,14 +320,14 @@ evalBranchTaken(const MicroOp &m, const RegFile &regs)
 
 /** Epilogue for control-transfer kernels: same, plus the deferred
  *  runaway test (after this pair's cycle charge, like the
- *  interpreter's own post-pair check). */
+ *  reference's own post-pair check). */
 #define STEP_EPILOGUE_CHECKED(STALL, LOADMASK, NEXT_OP)                   \
     STEP_EPILOGUE_BASE(STALL, LOADMASK, NEXT_OP);                         \
     RUNAWAY_CHECK();                                                      \
     DISPATCH()
 
 /**
- * Deferred runaway test. The interpreter checks `cycles > kMaxCycles`
+ * Deferred runaway test. The reference checks `cycles > kMaxCycles`
  * after every executed non-halting pair; the threaded executor checks
  * only where it matters for observable behaviour:
  *
@@ -166,7 +337,7 @@ evalBranchTaken(const MicroOp &m, const RegFile &regs)
  *    checked kernel (every loop needs a taken branch or Generic, and
  *    every run ends in Halt / OutOfRange / Violation / Generic, all of
  *    which check on entry before raising any other panic — preserving
- *    the interpreter's runaway-before-bounds-check ordering);
+ *    the reference's runaway-before-bounds-check ordering);
  *  - panic() aborts the process with a message that carries no pair
  *    index, so reporting the runaway a few ALU pairs late is
  *    indistinguishable from outside.
@@ -178,7 +349,7 @@ evalBranchTaken(const MicroOp &m, const RegFile &regs)
 /** Single-issue ALU kernel: one value computation plus the epilogue.
  *  EXPR may use `rs`, `rt`, `regs`, and `t.a`. A destination of r0 is
  *  fine: the write lands in regs[0] and the epilogue re-zeroes it,
- *  which is the interpreter's net effect. */
+ *  which is the reference's net effect. */
 #define ALU_KERNEL(K, EXPR)                                               \
     KERNEL(K) : {                                                         \
         const ThreadedOp &t = *op;                                        \
@@ -203,8 +374,7 @@ evalBranchTaken(const MicroOp &m, const RegFile &regs)
  * Sends needs push_back(SentMessage). A final Mem with inline members
  * folds every memory op into its kernel; Mem = PpMemory keeps the
  * virtual calls for any implementation. Instantiations:
- *  - threaded.cc: <PpMemory, vector> (PpSim::run, the oracle recorder)
- *    and <FlatPpMemory, vector> (benches, tests);
+ *  - threaded.cc: <PpMemory, vector> (PpSim::run, the oracle recorder);
  *  - magic/timing_model.cc: <magic::ShadowMemory, DiscardSends>, MAGIC's
  *    per-message timing path.
  */
@@ -246,11 +416,10 @@ runThreadedOn(const DecodedProgram &d, RegFile &regs, Mem &mem,
         switch (op->kernel) {
 #endif
 
-    // The interpreter loop body verbatim: full contract checking,
-    // generic two-slot execution, bounds-checked next pc. Every pair a
-    // specialized kernel cannot take (decode-time contract violations
-    // excepted) lands here, so the threaded backend is never less
-    // capable than the interpreter.
+    // The full per-pair step: contract checking, generic two-slot
+    // execution, bounds-checked next pc. Every pair a specialized
+    // kernel cannot take (decode-time contract violations excepted)
+    // lands here, so the executor runs any program the reference runs.
     KERNEL(Generic) : {
         const ThreadedOp &t = *op;
         RUNAWAY_CHECK(); // deferred from preceding straight-line pairs
@@ -293,12 +462,12 @@ runThreadedOn(const DecodedProgram &d, RegFile &regs, Mem &mem,
 
     KERNEL(Violation) : {
         const ThreadedOp &t = *op;
-        // An exhausted budget would have stopped the interpreter before
+        // An exhausted budget would have stopped the reference before
         // it ever reached (and reported) this pair.
         RUNAWAY_CHECK();
         const std::size_t pc = static_cast<std::size_t>(op - base);
         using V = DecodedPair::Violation;
-        // Interpreter check order: intra-pair RAW/WAW first, then the
+        // Reference check order: intra-pair RAW/WAW first, then the
         // load-delay check, then two-branch.
         if (t.violation == V::IntraRaw || t.violation == V::IntraWaw)
             detail::panicViolation(t.violation, t.violationReg, pc, name);
@@ -308,14 +477,14 @@ runThreadedOn(const DecodedProgram &d, RegFile &regs, Mem &mem,
     }
 
     KERNEL(OutOfRange) : {
-        // Runaway before bounds, the interpreter's check order.
+        // Runaway before bounds, the reference's check order.
         RUNAWAY_CHECK();
         panic("PpSim: pc %zu out of range in '%s'",
               static_cast<std::size_t>(op - base), name);
     }
 
     KERNEL(Halt) : {
-        // {Halt, Nop}: the interpreter executes the (effect-free) pair,
+        // {Halt, Nop}: the reference executes the (effect-free) pair,
         // zeroes r0, folds statistics, charges the cycle, and breaks
         // before checking its own budget — but it did check after every
         // earlier pair, which the deferred test reproduces exactly

@@ -105,7 +105,7 @@ sharedHandlerPrograms(const ppc::CompileOptions &opts = {});
 /**
  * Prepare the handler-ABI register file for @p msg arriving at @p self.
  * Inline: this runs once per handler invocation on the PP dispatch hot
- * path (see BM_PpHandlerDispatch), where an out-of-line copy of the
+ * path (see BM_PpDispatchCompiled), where an out-of-line copy of the
  * 256-byte register file costs as much as several executed pairs.
  */
 inline ppisa::RegFile

@@ -1,15 +1,15 @@
 /**
  * @file
- * Differential conformance between the two PP execution backends.
+ * Differential conformance between the PP engine and its reference.
  *
- * The threaded-code engine (ppisa/threaded.hh) must be architecturally
- * bit-identical to the decoded interpreter: same register/memory/message
- * effects, same cycle charges (including MDC stalls), same statistics,
- * and the same contract panics, in the same order. These tests drive
- * every compiled protocol handler program and a randomized stream of
- * synthetic programs through both backends and require outcome equality
- * down to the individual memory operation, plus panic-text parity for
- * every contract violation class.
+ * PpSim::run (the threaded-code executor, ppisa/threaded.hh) must be
+ * architecturally bit-identical to PpSim::runReference, the per-slot
+ * interpreter: same register/memory/message effects, same cycle charges
+ * (including MDC stalls), same statistics, and the same contract
+ * panics, in the same order. These tests drive every compiled protocol
+ * handler program and a randomized stream of synthetic programs through
+ * both and require outcome equality down to the individual memory
+ * operation, plus panic-text parity for every contract violation class.
  *
  * Also covers the static micro-op profile pass (ppc/profile.hh) and the
  * structural invariants of the threaded lowering, pinning the
@@ -42,8 +42,8 @@ namespace
  * PP memory with a deterministic word store, a full access trace, and a
  * deterministic per-address stall pattern (so the cycle comparison
  * covers the memory-stall accounting, not just the 1-cycle-per-pair
- * base). Two instances seeded identically and handed to the two
- * backends must produce identical traces.
+ * base). Two instances seeded identically and handed to the engine and
+ * the reference must produce identical traces.
  */
 struct TraceMemory : PpMemory
 {
@@ -86,6 +86,23 @@ struct TraceMemory : PpMemory
     }
 };
 
+/** The two ways to run a program: the reference and the engine. */
+enum class Engine
+{
+    Reference, ///< PpSim::runReference
+    Threaded,  ///< PpSim::run
+};
+
+Cycles
+runWith(Engine e, const Program &prog, RegFile &regs, PpMemory &mem,
+        std::vector<SentMessage> &sent, RunStats &stats)
+{
+    const PpSim sim;
+    return e == Engine::Reference
+               ? sim.runReference(prog, regs, mem, sent, stats)
+               : sim.run(prog, regs, mem, sent, stats);
+}
+
 struct Outcome
 {
     Cycles cycles = 0;
@@ -97,36 +114,33 @@ struct Outcome
 };
 
 Outcome
-runBackend(PpBackend backend, const Program &prog, const RegFile &regs_in,
-           const std::map<Addr, std::uint64_t> &words_in, bool stalls)
+runEngine(Engine e, const Program &prog, const RegFile &regs_in,
+          const std::map<Addr, std::uint64_t> &words_in, bool stalls)
 {
     Outcome o;
     o.regs = regs_in;
     TraceMemory mem;
     mem.words = words_in;
     mem.stalls = stalls;
-    PpSim sim(backend);
-    o.cycles = sim.run(prog, o.regs, mem, o.sent, o.stats);
+    o.cycles = runWith(e, prog, o.regs, mem, o.sent, o.stats);
     o.memLog = std::move(mem.log);
     o.memWords = std::move(mem.words);
     return o;
 }
 
 void
-expectBackendsAgree(const Program &prog, const RegFile &regs_in,
-                    const std::map<Addr, std::uint64_t> &words_in,
-                    bool stalls, const std::string &what)
+expectEngineMatchesReference(const Program &prog, const RegFile &regs_in,
+                             const std::map<Addr, std::uint64_t> &words_in,
+                             bool stalls, const std::string &what)
 {
-    Outcome i =
-        runBackend(PpBackend::Interpreter, prog, regs_in, words_in, stalls);
-    Outcome t =
-        runBackend(PpBackend::Threaded, prog, regs_in, words_in, stalls);
-    EXPECT_EQ(i.cycles, t.cycles) << what;
-    EXPECT_EQ(i.regs, t.regs) << what;
-    EXPECT_EQ(i.sent, t.sent) << what;
-    EXPECT_TRUE(i.stats == t.stats) << what;
-    EXPECT_EQ(i.memLog, t.memLog) << what << " (memory access trace)";
-    EXPECT_EQ(i.memWords, t.memWords) << what << " (final memory image)";
+    Outcome r = runEngine(Engine::Reference, prog, regs_in, words_in, stalls);
+    Outcome t = runEngine(Engine::Threaded, prog, regs_in, words_in, stalls);
+    EXPECT_EQ(r.cycles, t.cycles) << what;
+    EXPECT_EQ(r.regs, t.regs) << what;
+    EXPECT_EQ(r.sent, t.sent) << what;
+    EXPECT_TRUE(r.stats == t.stats) << what;
+    EXPECT_EQ(r.memLog, t.memLog) << what << " (memory access trace)";
+    EXPECT_EQ(r.memWords, t.memWords) << what << " (final memory image)";
 }
 
 // ---------------------------------------------------------------------
@@ -206,7 +220,7 @@ struct DirOutcome
 };
 
 DirOutcome
-runHandlerCase(PpBackend backend, const Program &prog,
+runHandlerCase(Engine e, const Program &prog,
                const protocol::Message &msg, NodeId home, bool cache_dirty,
                std::uint64_t state_seed, protocol::DirectoryStore &dir)
 {
@@ -214,8 +228,7 @@ runHandlerCase(PpBackend backend, const Program &prog,
     DirOutcome o;
     o.regs = protocol::makeHandlerRegs(msg, kSelf, home, cache_dirty);
     TraceDirMem mem(dir);
-    PpSim sim(backend);
-    o.cycles = sim.run(prog, o.regs, mem, o.sent, o.stats);
+    o.cycles = runWith(e, prog, o.regs, mem, o.sent, o.stats);
     o.memLog = std::move(mem.log);
     return o;
 }
@@ -254,27 +267,27 @@ TEST(BackendDiff, HandlerFuzzAllProgramsAllOptions)
                     const bool cache_dirty = rng.below(2) != 0;
                     const std::uint64_t state_seed = rng.next();
 
-                    protocol::DirectoryStore dirI, dirT;
-                    DirOutcome i = runHandlerCase(
-                        PpBackend::Interpreter, *prog, m, home,
-                        cache_dirty, state_seed, dirI);
+                    protocol::DirectoryStore dirR, dirT;
+                    DirOutcome r = runHandlerCase(
+                        Engine::Reference, *prog, m, home, cache_dirty,
+                        state_seed, dirR);
                     DirOutcome th = runHandlerCase(
-                        PpBackend::Threaded, *prog, m, home, cache_dirty,
+                        Engine::Threaded, *prog, m, home, cache_dirty,
                         state_seed, dirT);
 
                     const std::string what =
                         prog->name + " iter " + std::to_string(iter);
-                    EXPECT_EQ(i.cycles, th.cycles) << what;
-                    EXPECT_EQ(i.regs, th.regs) << what;
-                    EXPECT_EQ(i.sent, th.sent) << what;
-                    EXPECT_TRUE(i.stats == th.stats) << what;
-                    EXPECT_EQ(i.memLog, th.memLog) << what;
-                    EXPECT_EQ(dirT.sharers(m.addr), dirI.sharers(m.addr))
+                    EXPECT_EQ(r.cycles, th.cycles) << what;
+                    EXPECT_EQ(r.regs, th.regs) << what;
+                    EXPECT_EQ(r.sent, th.sent) << what;
+                    EXPECT_TRUE(r.stats == th.stats) << what;
+                    EXPECT_EQ(r.memLog, th.memLog) << what;
+                    EXPECT_EQ(dirT.sharers(m.addr), dirR.sharers(m.addr))
                         << what;
-                    protocol::DirHeader hi = dirI.header(m.addr);
+                    protocol::DirHeader hr = dirR.header(m.addr);
                     protocol::DirHeader ht = dirT.header(m.addr);
-                    EXPECT_EQ(ht.dirty, hi.dirty) << what;
-                    EXPECT_EQ(ht.owner, hi.owner) << what;
+                    EXPECT_EQ(ht.dirty, hr.dirty) << what;
+                    EXPECT_EQ(ht.owner, hr.owner) << what;
                 }
             }
         }
@@ -367,14 +380,15 @@ TEST(BackendDiff, RandomProgramFuzz)
         std::map<Addr, std::uint64_t> words;
         for (Addr a = 0; a < 512; a += 8)
             words[a] = rng.next();
-        expectBackendsAgree(prog, regs, words, true, prog.name);
+        expectEngineMatchesReference(prog, regs, words, true, prog.name);
     }
 }
 
 // ---------------------------------------------------------------------
-// Contract-panic parity: both backends must fail the same way, with the
-// same message, for every violation class — and must stay silent for
-// violations that are never dynamically reached (lazy checking).
+// Contract-panic parity: engine and reference must fail the same way,
+// with the same message, for every violation class — and must stay
+// silent for violations that are never dynamically reached (lazy
+// checking).
 // ---------------------------------------------------------------------
 
 Instr
@@ -399,18 +413,16 @@ progOf(std::vector<InstrPair> pairs, const char *name)
 }
 
 void
-runOn(PpBackend backend, const Program &prog)
+runOn(Engine e, const Program &prog)
 {
     RegFile regs{};
     FlatPpMemory mem;
     std::vector<SentMessage> sent;
     RunStats stats;
-    PpSim sim(backend);
-    sim.run(prog, regs, mem, sent, stats);
+    runWith(e, prog, regs, mem, sent, stats);
 }
 
-class BackendPanicParity
-    : public ::testing::TestWithParam<PpBackend>
+class BackendPanicParity : public ::testing::TestWithParam<Engine>
 {};
 
 TEST_P(BackendPanicParity, IntraPairRaw)
@@ -459,7 +471,7 @@ TEST_P(BackendPanicParity, FallOffEnd)
 TEST_P(BackendPanicParity, BranchOnePastEnd)
 {
     // A branch target of npairs is legal to encode (falls off the end);
-    // both backends raise the out-of-range panic when it is taken.
+    // both raise the out-of-range panic when it is taken.
     Program p = progOf(
         {{mk(Op::J, 0, 0, 0, 2), Instr{}},
          {mk(Op::Halt, 0, 0, 0), Instr{}}},
@@ -483,7 +495,7 @@ TEST_P(BackendPanicParity, EmptyProgram)
 TEST_P(BackendPanicParity, UnreachedViolationStaysSilent)
 {
     // Lazy contract checking: a violating pair after the Halt is never
-    // reached, so neither backend may panic over it.
+    // reached, so neither may panic over it.
     Program p = progOf(
         {{mk(Op::Halt, 0, 0, 0), Instr{}},
          {mk(Op::Addi, 3, 1, 0, 5), mk(Op::Add, 4, 3, 1)}},
@@ -491,11 +503,13 @@ TEST_P(BackendPanicParity, UnreachedViolationStaysSilent)
     runOn(GetParam(), p); // must not die
 }
 
+// runReference is the per-slot interpreter, hence its suffix.
 INSTANTIATE_TEST_SUITE_P(
     Backends, BackendPanicParity,
-    ::testing::Values(PpBackend::Interpreter, PpBackend::Threaded),
-    [](const ::testing::TestParamInfo<PpBackend> &info) {
-        return std::string(ppBackendName(info.param));
+    ::testing::Values(Engine::Reference, Engine::Threaded),
+    [](const ::testing::TestParamInfo<Engine> &info) {
+        return std::string(info.param == Engine::Reference ? "interpreter"
+                                                           : "threaded");
     });
 
 // ---------------------------------------------------------------------
@@ -611,18 +625,6 @@ TEST(MicroOpProfile, CountsAreExactOnAKnownProgram)
 
     std::vector<ppc::PairFreq> dual = prof.hottestDual(4);
     ASSERT_EQ(dual.size(), 1u); // only (Ld, Addi) is genuinely dual
-}
-
-// ---------------------------------------------------------------------
-// Backend selection plumbing.
-// ---------------------------------------------------------------------
-
-TEST(PpBackendKnob, DefaultsAndNames)
-{
-    EXPECT_EQ(PpSim{}.backend(), PpBackend::Interpreter);
-    EXPECT_EQ(PpSim(PpBackend::Threaded).backend(), PpBackend::Threaded);
-    EXPECT_STREQ(ppBackendName(PpBackend::Interpreter), "interpreter");
-    EXPECT_STREQ(ppBackendName(PpBackend::Threaded), "threaded");
 }
 
 } // namespace

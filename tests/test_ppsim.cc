@@ -7,6 +7,7 @@
 #include "ppisa/decode.hh"
 #include "ppisa/instruction.hh"
 #include "ppisa/ppsim.hh"
+#include "ppisa/threaded.hh"
 
 namespace flashsim::ppisa
 {
@@ -549,6 +550,7 @@ TEST(PpDecode, ReloadInvalidatesCache)
     const DecodedProgram &redecoded = prog.decoded();
     EXPECT_TRUE(redecoded.matches(prog));
     EXPECT_EQ(redecoded.pairs()[0].a.imm, 2);
+    EXPECT_EQ(redecoded.threaded().ops()[0].a.imm, 2);
 
     PpSim sim;
     RegFile regs{};
@@ -595,6 +597,7 @@ TEST(PpDecode, InPlaceMutationForcesRedecode)
     EXPECT_FALSE(first->matches(prog))
         << "stale decode must not match after an in-place mutation";
     EXPECT_EQ(prog.decoded().pairs()[0].a.imm, 9);
+    EXPECT_EQ(prog.decoded().threaded().ops()[0].a.imm, 9);
 
     PpSim sim;
     RegFile regs{};
@@ -603,20 +606,6 @@ TEST(PpDecode, InPlaceMutationForcesRedecode)
     RunStats stats;
     sim.run(prog, regs, mem, sent, stats);
     EXPECT_EQ(regs[1], 9u) << "run() must execute the patched code";
-}
-
-TEST(PpDecode, ExplicitInvalidateStillForcesRebuild)
-{
-    // invalidateDecodeCache() remains for emphasis at call sites;
-    // dropping the cache must rebuild (not crash) on next use.
-    Program prog;
-    prog.name = "inval";
-    prog.mutablePairs().push_back(InstrPair{rri(Op::Addi, 1, 0, 3), nop()});
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
-    const DecodedProgram *first = &prog.decoded();
-    EXPECT_TRUE(first->matches(prog));
-    prog.invalidateDecodeCache();
-    EXPECT_EQ(prog.decoded().pairs()[0].a.imm, 3);
 }
 
 } // namespace

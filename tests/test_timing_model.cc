@@ -284,8 +284,9 @@ TEST(ShadowExecutor, MatchesPpSimOverVirtualMemory)
 {
     // Every (message type, at-home) handler program over randomized
     // directory states: runOnShadow (the executor bound statically to
-    // ShadowMemory, Sends discarded) against PpSim::run over a virtual
-    // PpMemory with the same semantics, on both engines. A 1 KB MDC
+    // ShadowMemory, Sends discarded) against PpSim::run and against
+    // PpSim::runReference, each over a virtual PpMemory with the same
+    // semantics. A 1 KB MDC
     // (4 sets x 2 ways) keeps misses and dirty writebacks frequent,
     // and each side's MDC carries its state across invocations.
     const HandlerPrograms &programs = *protocol::sharedHandlerPrograms();
@@ -294,13 +295,12 @@ TEST(ShadowExecutor, MatchesPpSimOverVirtualMemory)
     DirectoryStore dir;
     MagicCache mdcStatic(1024, 2, 128);
     MagicCache mdcThreaded(1024, 2, 128);
-    MagicCache mdcInterp(1024, 2, 128);
+    MagicCache mdcRef(1024, 2, 128);
     ShadowMemory shadow(dir, mdcStatic, 29);
     VirtualShadow vThreaded(dir, mdcThreaded, 29);
-    VirtualShadow vInterp(dir, mdcInterp, 29);
-    const ppisa::PpSim threaded(ppisa::PpBackend::Threaded);
-    const ppisa::PpSim interp(ppisa::PpBackend::Interpreter);
-    ppisa::RunStats sStatic, sThreaded, sInterp;
+    VirtualShadow vRef(dir, mdcRef, 29);
+    const ppisa::PpSim sim;
+    ppisa::RunStats sStatic, sThreaded, sRef;
     std::vector<ppisa::SentMessage> sent;
     Rng rng(0x5eed);
 
@@ -327,39 +327,38 @@ TEST(ShadowExecutor, MatchesPpSimOverVirtualMemory)
                 const ppisa::RegFile in =
                     protocol::makeHandlerRegs(m, 0, home, cache_dirty);
 
-                ppisa::RegFile rStatic = in, rThreaded = in, rInterp = in;
+                ppisa::RegFile rStatic = in, rThreaded = in, rRef = in;
                 shadow.reset();
                 vThreaded.reset();
-                vInterp.reset();
+                vRef.reset();
                 const Cycles cStatic =
                     runOnShadow(prog->decoded(), rStatic, shadow, sStatic);
                 sent.clear();
                 const Cycles cThreaded =
-                    threaded.run(*prog, rThreaded, vThreaded, sent,
-                                 sThreaded);
+                    sim.run(*prog, rThreaded, vThreaded, sent, sThreaded);
                 sent.clear();
-                const Cycles cInterp =
-                    interp.run(*prog, rInterp, vInterp, sent, sInterp);
+                const Cycles cRef =
+                    sim.runReference(*prog, rRef, vRef, sent, sRef);
 
                 SCOPED_TRACE(prog->name + " iteration " +
                              std::to_string(iter));
                 ASSERT_EQ(cStatic, cThreaded);
-                ASSERT_EQ(cStatic, cInterp);
+                ASSERT_EQ(cStatic, cRef);
                 ASSERT_EQ(rStatic, rThreaded);
-                ASSERT_EQ(rStatic, rInterp);
+                ASSERT_EQ(rStatic, rRef);
                 ASSERT_EQ(shadow.misses, vThreaded.misses);
-                ASSERT_EQ(shadow.misses, vInterp.misses);
+                ASSERT_EQ(shadow.misses, vRef.misses);
                 ASSERT_EQ(shadow.writebacks, vThreaded.writebacks);
-                ASSERT_EQ(shadow.writebacks, vInterp.writebacks);
+                ASSERT_EQ(shadow.writebacks, vRef.writebacks);
                 ASSERT_EQ(sStatic, sThreaded);
-                ASSERT_EQ(sStatic, sInterp);
+                ASSERT_EQ(sStatic, sRef);
                 ++invocations;
                 misses += shadow.misses;
                 writebacks += shadow.writebacks;
             }
         }
     }
-    for (const MagicCache *other : {&mdcThreaded, &mdcInterp}) {
+    for (const MagicCache *other : {&mdcThreaded, &mdcRef}) {
         EXPECT_EQ(mdcStatic.reads, other->reads);
         EXPECT_EQ(mdcStatic.readMisses, other->readMisses);
         EXPECT_EQ(mdcStatic.writes, other->writes);
